@@ -20,7 +20,7 @@ double measure_tau_s(const DeviceSpec& dev, std::uint32_t accesses) {
   const KernelReport r = sim.run(
       [&](const ThreadCtx& ctx, ThreadRecorder& rec) {
         for (std::uint32_t i = 0; i < accesses; ++i) {
-          rec.shared_access(4ull * ((ctx.lane + i) % 512));
+          rec.shared_read(4ull * ((ctx.lane + i) % 512));
           rec.compute(2);
         }
       },

@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks of the hot primitives underneath the
 // paper's pipeline: combinadic unranking, ALS test decoding, adjacency
 // probes, coalescing, and the reference counters.
+#include <array>
 #include <benchmark/benchmark.h>
 
 #include "combi/binomial.hpp"
@@ -74,21 +75,26 @@ void BM_BitMatrixProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_BitMatrixProbe);
 
+// One warp slot through the executor's entry point (coalesce_slot, no
+// allocation).  Arg 0: 32 scattered lanes (worst case, 32 segments);
+// Arg 1: 32 consecutive words (Table III best case).
 void BM_CoalesceWarp(benchmark::State& state) {
   Xoshiro256 rng(5);
-  std::vector<gpusim::LaneAccess> accesses(32);
+  std::array<gpusim::LaneAccess, 32> accesses;
   for (std::uint32_t l = 0; l < 32; ++l)
-    accesses[l] = {l, rng.uniform(1 << 16) * 4};
+    accesses[l] = {l, state.range(0) == 0 ? rng.uniform(1 << 16) * 4
+                                          : 4096 + 4ull * l};
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        gpusim::coalesce_warp(gpusim::ComputeCapability::k13, accesses, 4)
-            .count());
+        gpusim::coalesce_slot(gpusim::ComputeCapability::k13, accesses, 4)
+            .count);
   }
 }
-BENCHMARK(BM_CoalesceWarp);
+BENCHMARK(BM_CoalesceWarp)->Arg(0)->Arg(1);
 
+// One half-warp's bank-conflict degree, as the executor calls it.
 void BM_BankConflict(benchmark::State& state) {
-  std::vector<std::uint64_t> addrs(16);
+  std::array<std::uint64_t, 16> addrs;
   for (std::uint32_t l = 0; l < 16; ++l) addrs[l] = 8ull * l;
   for (auto _ : state)
     benchmark::DoNotOptimize(gpusim::bank_conflict_degree(addrs, 16));

@@ -61,6 +61,19 @@ AlsPlan build_als_plan(const graph::Graph& g) {
 
 namespace {
 
+/// Largest n with n(n-1)(n-2) < 2^64: up to here C(n, 3) is exact in
+/// plain 64-bit arithmetic.
+constexpr std::uint64_t kChoose3Exact64 = 2642246;
+
+/// C(n, 3) for the decode's binary search, which evaluates it O(log s)
+/// times per test: a product and a division by a constant while the
+/// product fits, the general 128-bit binomial above that.
+std::uint64_t choose3(std::uint64_t n) noexcept {
+  if (n < 3) return 0;
+  if (n <= kChoose3Exact64) return n * (n - 1) * (n - 2) / 6;
+  return binomial(n, 3);
+}
+
 /// Unrank a 2-combination of [0, m) from its lexicographic index:
 /// pairs with first element f occupy a block of (m - 1 - f) indices.
 /// Closed-form via the quadratic formula, with integer fix-up.
@@ -92,11 +105,11 @@ TestTriple als_decode_test(const AlsJob& job, std::uint64_t local_index) {
             "als_decode_test: index " << local_index << " >= " << job.tests);
   // cumulative(x) = C(s,3) - C(s-x,3); binary search the largest x with
   // cumulative(x) <= local_index.
-  const std::uint64_t c_s3 = binomial(job.s, 3);
+  const std::uint64_t c_s3 = choose3(job.s);
   std::uint32_t lo = 0, hi = job.x_max;  // invariant: cum(lo) <= idx < cum(hi)
   while (hi - lo > 1) {
     const std::uint32_t mid = lo + (hi - lo) / 2;
-    const std::uint64_t cum = c_s3 - binomial(job.s - mid, 3);
+    const std::uint64_t cum = c_s3 - choose3(job.s - mid);
     if (cum <= local_index)
       lo = mid;
     else
@@ -104,7 +117,7 @@ TestTriple als_decode_test(const AlsJob& job, std::uint64_t local_index) {
   }
   TestTriple t;
   t.x = lo;
-  const std::uint64_t before = c_s3 - binomial(job.s - lo, 3);
+  const std::uint64_t before = c_s3 - choose3(job.s - lo);
   const std::uint64_t pair_index = local_index - before;
 
   // (y, z) is the pair_index-th 2-combination of (x, s) — shift by x+1.

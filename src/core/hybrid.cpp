@@ -154,15 +154,21 @@ ChunkLaunch run_chunk_kernel(const graph::Graph& g, const graph::Chunk& chunk,
   gpusim::Buffer buffer{};
   if (!chunk.fits_shared) buffer = mem.alloc(chunk_device_bytes(chunk));
 
-  // Map a chunk-local vertex id: AlsJob locals index into
-  // job.local_to_global (component ids); the chunk matrix is indexed by
-  // position within chunk.vertices (sorted), found by binary search.
+  // Chunk-position tables, built once per launch: AlsJob locals index
+  // into job.local_to_global (component ids), while the chunk matrix is
+  // indexed by position within chunk.vertices (sorted).  Job j's local id
+  // x sits at chunk position chunk_pos[pos_begin[j] + x].
   const auto& chunk_vs = chunk.vertices;
-  auto chunk_local = [&](graph::Vertex v) {
-    const auto it = std::lower_bound(chunk_vs.begin(), chunk_vs.end(), v);
-    LGG_ASSERT(it != chunk_vs.end() && *it == v);
-    return static_cast<std::uint64_t>(it - chunk_vs.begin());
-  };
+  std::vector<std::size_t> pos_begin(work.jobs.size());
+  std::vector<std::uint32_t> chunk_pos;
+  for (std::size_t j = 0; j < work.jobs.size(); ++j) {
+    pos_begin[j] = chunk_pos.size();
+    for (const graph::Vertex v : work.jobs[j].local_to_global) {
+      const auto it = std::lower_bound(chunk_vs.begin(), chunk_vs.end(), v);
+      LGG_ASSERT(it != chunk_vs.end() && *it == v);
+      chunk_pos.push_back(static_cast<std::uint32_t>(it - chunk_vs.begin()));
+    }
+  }
 
   // Per-thread budget (test sampling).
   const std::uint64_t threads = tpb;  // one block == one SM job
@@ -207,8 +213,10 @@ ChunkLaunch run_chunk_kernel(const graph::Graph& g, const graph::Chunk& chunk,
       const graph::Vertex w = job.local_to_global[t.z];
 
       rec.compute(cal::kGpuInstructionsPerTest);
-      const std::uint64_t lu = chunk_local(u), lv = chunk_local(v),
-                          lw = chunk_local(w);
+      const std::uint32_t* pos =
+          chunk_pos.data() + pos_begin[static_cast<std::size_t>(
+                                 &job - work.jobs.data())];
+      const std::uint64_t lu = pos[t.x], lv = pos[t.y], lw = pos[t.z];
       if (chunk.fits_shared) {
         // S-UTM layout in shared memory: word of pair (i < j), bit
         // index i*(2n - i - 1)/2 + (j - i - 1).
@@ -394,7 +402,7 @@ HybridFootprint hybrid_footprint_spec(const graph::Graph& g,
       fj.s = job.s;
       fj.x_max = job.x_max;
       fj.k = 3;
-      // The kernel probes by chunk-local position (chunk_local), bounded
+      // The kernel probes by chunk position (its chunk_pos table), bounded
       // by the chunk's vertex count, a superset of any job's two levels.
       fj.index_bound = local_n;
       fj.block = job_block;

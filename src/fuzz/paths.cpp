@@ -7,6 +7,8 @@
 #include <fstream>
 #include <sstream>
 
+#include <unistd.h>
+
 #include "combi/binomial.hpp"
 #include "combi/strategies.hpp"
 #include "core/approx.hpp"
@@ -69,13 +71,16 @@ PathOutcome count_via_strategy(const graph::Graph& g, combi::Strategy s) {
   return exact(triangles);
 }
 
-// RAII temp file for the external-memory streaming path.
+// RAII temp file for the external-memory streaming path.  The name
+// carries the process id: concurrent processes (ctest -j runs every corpus
+// case as its own process) share the temp directory and the tags.
 struct TempGraphFile {
   std::string path;
   explicit TempGraphFile(const graph::Graph& g, std::uint64_t tag) {
     static std::atomic<std::uint64_t> sequence{0};
     std::ostringstream name;
-    name << "lgg-fuzz-" << tag << '-' << sequence.fetch_add(1) << ".txt";
+    name << "lgg-fuzz-" << ::getpid() << '-' << tag << '-'
+         << sequence.fetch_add(1) << ".txt";
     path = (std::filesystem::temp_directory_path() / name.str()).string();
     graph::write_snap_edge_list_file(path, g, "fuzz streaming path");
   }

@@ -6,6 +6,7 @@
 // bank; all lanes reading the SAME word is a broadcast and costs one step.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -17,10 +18,14 @@ namespace lgg::gpusim {
   return static_cast<std::uint32_t>((addr / 4) % banks);
 }
 
+/// Most addresses one bank_conflict_degree call takes: a full warp.
+inline constexpr std::size_t kMaxBankAccesses = 32;
+
 /// Serialisation degree of one half-warp's shared-memory access: the
 /// maximum over banks of the number of distinct words requested from that
 /// bank.  Returns 1 for conflict-free or pure-broadcast patterns, and 0
-/// when no lane accesses shared memory.
+/// when no lane accesses shared memory.  Takes at most kMaxBankAccesses
+/// addresses and works in fixed stack storage (no allocation).
 std::uint32_t bank_conflict_degree(std::span<const std::uint64_t> addrs,
                                    std::uint32_t banks);
 

@@ -14,11 +14,16 @@
 //
 // These rules reproduce the paper's Table III exactly (see
 // bench_table3_coalescing and the unit tests).
+//
+// coalesce_slot is the one implementation and the simulator's per-slot hot
+// path: it works in fixed-size stack storage (DESIGN.md §8) and never
+// allocates.  warp_transaction_count is a thin wrapper for the Table III
+// tests and bench.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "gpusim/device.hpp"
 
@@ -31,32 +36,43 @@ struct LaneAccess {
   std::uint64_t addr = 0;  // simulated global byte address
 };
 
-/// One memory transaction produced by the coalescer.
+/// One memory transaction produced by the coalescer.  No default member
+/// initialisers: SlotCoalesce keeps 32 of these in stack storage and fills
+/// only the first `count`, so zeroing them per slot would be wasted work.
 struct Transaction {
-  std::uint64_t base = 0;   // segment base address
-  std::uint32_t bytes = 0;  // segment size actually transferred
+  std::uint64_t base;   // segment base address
+  std::uint32_t bytes;  // segment size actually transferred
 };
 
-struct CoalesceResult {
-  std::vector<Transaction> transactions;
+/// Upper bound on the transactions of one warp slot.  Every rule issues at
+/// most one transaction per active lane (a valid word never straddles a
+/// 128-byte line, so CC 2.0 too), and a slot has at most 32 distinct lanes.
+inline constexpr std::uint32_t kMaxSlotTransactions = 32;
 
-  [[nodiscard]] std::size_t count() const noexcept {
-    return transactions.size();
-  }
-  [[nodiscard]] std::uint64_t bytes() const noexcept {
-    std::uint64_t total = 0;
-    for (const auto& t : transactions) total += t.bytes;
-    return total;
+/// Everything the executor prices from one warp slot, in fixed storage.
+struct SlotCoalesce {
+  std::uint32_t count = 0;  // transactions issued
+  /// CC-minimal transactions for the active lanes (Table III floor): one
+  /// aligned segment per non-empty half-warp below CC 2.0, else
+  /// ceil(active_lanes * word_bytes / 128) cache lines.
+  std::uint32_t ideal = 0;
+  std::uint64_t bytes = 0;  // bytes transferred
+  /// The first `count` entries; their bases are the partition increments.
+  std::array<Transaction, kMaxSlotTransactions> txns;
+
+  [[nodiscard]] std::span<const Transaction> transactions() const noexcept {
+    return {txns.data(), count};
   }
 };
 
-/// Coalesce one warp's simultaneous accesses of `word_bytes`-sized words.
-/// For CC < 2.0 the warp is processed as two independent half-warps
-/// (lanes 0-15 and 16-31), matching the hardware.  `word_bytes` must be
-/// 1, 2, 4, 8 or 16.
-CoalesceResult coalesce_warp(ComputeCapability cc,
-                             std::span<const LaneAccess> accesses,
-                             std::uint32_t word_bytes);
+/// Coalesce one warp slot of `word_bytes`-sized accesses (1, 2, 4, 8 or
+/// 16).  Lanes must be distinct and < 32; any lane order is accepted and
+/// gives the same count, bytes and transaction multiset.  For CC < 2.0 the
+/// warp is processed as two independent half-warps (lanes 0-15 and
+/// 16-31), matching the hardware.
+SlotCoalesce coalesce_slot(ComputeCapability cc,
+                           std::span<const LaneAccess> accesses,
+                           std::uint32_t word_bytes);
 
 /// Convenience for tests/benches: transaction count for a full 32-lane
 /// warp reading `word_bytes` words at the given per-lane addresses.

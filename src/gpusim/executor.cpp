@@ -1,6 +1,8 @@
 #include "gpusim/executor.hpp"
 
 #include <algorithm>
+#include <array>
+#include <span>
 
 #include "gpusim/banks.hpp"
 #include "gpusim/calibration.hpp"
@@ -46,41 +48,19 @@ struct ShardState {
   std::vector<ThreadTrace> traces;
 };
 
-/// CC-minimal transaction count for one warp slot (the denominator of the
-/// coalesced/uncoalesced split).  CC < 2.0 issues per half-warp, so the
-/// floor is one aligned segment per non-empty half (16 lanes x <= 8 bytes
-/// always fits one 128-byte segment); CC 2.0 issues whole cache lines, so
-/// the floor is the lines strictly needed to carry the active words.
-std::uint64_t ideal_slot_transactions(ComputeCapability cc,
-                                      const std::vector<LaneAccess>& slot,
-                                      std::uint32_t word_bytes) {
-  if (slot.empty()) return 0;
-  if (cc >= ComputeCapability::k20) {
-    const std::uint64_t need =
-        static_cast<std::uint64_t>(slot.size()) * word_bytes;
-    return std::max<std::uint64_t>(1, (need + 127) / 128);
-  }
-  bool half[2] = {false, false};
-  for (const LaneAccess& a : slot) half[a.lane >= 16 ? 1 : 0] = true;
-  return static_cast<std::uint64_t>(half[0]) +
-         static_cast<std::uint64_t>(half[1]);
-}
-
-/// Per-host-worker scratch reused across every warp the worker replays:
-/// lane tapes keep their heap capacity across clear(), and the coalescing
-/// slot / bank half-warp buffers are hoisted out of the warp loop, so
-/// steady-state replay performs no allocations.
+/// Per-host-worker scratch reused across every warp the worker replays.
+/// Lane tapes keep their heap capacity across clear(); the coalescing slot
+/// and bank half-warp buffers are fixed arrays (a warp has at most 32
+/// lanes).  Once the tapes have grown to the kernel's longest tape,
+/// replaying a warp performs no allocation (DESIGN.md §8).
 struct WorkerScratch {
   std::vector<ThreadRecorder> lanes;
-  std::vector<LaneAccess> slot;
-  std::vector<std::uint64_t> half_addrs;
+  std::array<LaneAccess, kMaxSlotTransactions> slot{};
+  std::array<std::uint64_t, 16> half_addrs{};
 
   // Lane tapes are reserved by the caller (ThreadRecorder::reserve is
   // simulator-private, and this struct lives outside the friendship).
-  explicit WorkerScratch(std::uint32_t warp_size) : lanes(warp_size) {
-    slot.reserve(warp_size);
-    half_addrs.reserve(16);
-  }
+  explicit WorkerScratch(std::uint32_t warp_size) : lanes(warp_size) {}
 };
 
 }  // namespace
@@ -96,6 +76,9 @@ KernelReport Simulator::run(const KernelFn& kernel, const KernelConfig& config,
             "Simulator::run: threads_per_block " << config.threads_per_block
                                                  << " exceeds 1024");
   LGG_CHECK(sample_stride >= 1, "Simulator::run: sample_stride must be >= 1");
+  LGG_CHECK(spec_->warp_size >= 1 && spec_->warp_size <= kMaxSlotTransactions,
+            "Simulator::run: warp size " << spec_->warp_size
+                                         << " outside [1, 32]");
 
   if (faults_ != nullptr && faults_->on_launch(config)) {
     throw DeviceFault(FaultSite::kLaunch, "injected fault: launch of '" +
@@ -214,31 +197,30 @@ KernelReport Simulator::run(const KernelFn& kernel, const KernelConfig& config,
           ++sh.divergent_warps;
 
         // Global slots: coalesce the s-th access of every lane together.
+        // Lanes enter the slot in increasing lane order.
         for (std::size_t s = 0; s < max_global; ++s) {
-          scratch.slot.clear();
+          std::uint32_t active = 0;
           std::uint32_t word_bytes = 0;
           for (std::uint32_t lane = 0; lane < lanes_in_warp; ++lane) {
             if (s >= lanes[lane].global_.size()) continue;
             const auto& access = lanes[lane].global_[s];
             if (word_bytes == 0) word_bytes = access.word_bytes;
             LGG_ASSERT(word_bytes == access.word_bytes);
-            scratch.slot.push_back({lane, access.addr});
+            scratch.slot[active++] = {lane, access.addr};
           }
-          const CoalesceResult coalesced =
-              coalesce_warp(dev.cc, scratch.slot, word_bytes);
-          sh.transactions += coalesced.count();
-          sh.bytes += coalesced.bytes();
-          sh.hist.add_transactions(partition_model, coalesced.transactions);
+          const SlotCoalesce coalesced = coalesce_slot(
+              dev.cc, std::span(scratch.slot.data(), active), word_bytes);
+          sh.transactions += coalesced.count;
+          sh.bytes += coalesced.bytes;
+          sh.hist.add_transactions(partition_model, coalesced.transactions());
           ++sh.sm.global_slots;
-          const std::uint64_t ideal =
-              ideal_slot_transactions(dev.cc, scratch.slot, word_bytes);
-          sh.ideal_transactions += ideal;
-          if (coalesced.count() == ideal) {
+          sh.ideal_transactions += coalesced.ideal;
+          if (coalesced.count == coalesced.ideal) {
             ++sh.coalesced_slots;
-            sh.coalesced_transactions += coalesced.count();
+            sh.coalesced_transactions += coalesced.count;
           } else {
             ++sh.uncoalesced_slots;
-            sh.uncoalesced_transactions += coalesced.count();
+            sh.uncoalesced_transactions += coalesced.count;
           }
         }
 
@@ -246,16 +228,17 @@ KernelReport Simulator::run(const KernelFn& kernel, const KernelConfig& config,
         for (std::size_t s = 0; s < max_shared; ++s) {
           ++sh.shared_slots;
           for (std::uint32_t half = 0; half < 2; ++half) {
-            scratch.half_addrs.clear();
+            std::size_t active = 0;
             const std::uint32_t lo = half * 16;
             const std::uint32_t hi = std::min(lanes_in_warp, lo + 16);
             for (std::uint32_t lane = lo; lane < hi; ++lane)
               if (s < lanes[lane].shared_.size())
-                scratch.half_addrs.push_back(lanes[lane].shared_[s].addr);
-            if (scratch.half_addrs.empty()) continue;
+                scratch.half_addrs[active++] = lanes[lane].shared_[s].addr;
+            if (active == 0) continue;
             ++sh.shared_accesses;
-            const std::uint32_t degree =
-                bank_conflict_degree(scratch.half_addrs, dev.shared_banks);
+            const std::uint32_t degree = bank_conflict_degree(
+                std::span(scratch.half_addrs.data(), active),
+                dev.shared_banks);
             sh.sm.bank_conflict_steps += degree;
           }
         }

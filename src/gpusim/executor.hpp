@@ -140,8 +140,8 @@ struct SharedAccess {
 
 /// Tape recorder handed to each simulated thread.  Tape storage is owned
 /// per host worker and reused across every warp the worker replays:
-/// clear() drops the contents but keeps the heap capacity, so steady-state
-/// warp replay performs no allocations.
+/// clear() drops the contents but keeps the heap capacity, so a tape
+/// allocates only while it grows past the longest tape it has held.
 class ThreadRecorder {
  public:
   /// Record a read of `word_bytes` at byte `offset` inside `buf`.
@@ -169,8 +169,6 @@ class ThreadRecorder {
   void shared_read(std::uint64_t addr) {
     shared_.push_back({addr, epoch_, AccessKind::kRead});
   }
-  /// Back-compat alias: an unannotated shared access is a read.
-  void shared_access(std::uint64_t addr) { shared_read(addr); }
   /// Record a shared-memory write at byte address `addr`.
   void shared_write(std::uint64_t addr) {
     shared_.push_back({addr, epoch_, AccessKind::kWrite});

@@ -5,11 +5,8 @@
 
 namespace lgg::gpusim {
 
-std::uint64_t Buffer::addr(std::uint64_t offset) const {
-  LGG_CHECK(offset < bytes, "Buffer::addr: offset " << offset
-                                                    << " out of range "
-                                                    << bytes);
-  return base + offset;
+void Buffer::out_of_range(std::uint64_t offset) const {
+  LGG_THROW("Buffer::addr: offset " << offset << " out of range " << bytes);
 }
 
 DeviceMemory::DeviceMemory(const DeviceSpec& spec, FaultHook* faults)

@@ -21,8 +21,18 @@ struct Buffer {
   std::uint64_t base = 0;
   std::uint64_t bytes = 0;
 
-  /// Simulated byte address of `offset` within the buffer (bounds-checked).
-  [[nodiscard]] std::uint64_t addr(std::uint64_t offset) const;
+  /// Simulated byte address of `offset` within the buffer.  Inline:
+  /// every recorded access goes through here.  The bounds check stays in
+  /// every build type; only its throw path is out of line.
+  [[nodiscard]] std::uint64_t addr(std::uint64_t offset) const {
+    if (offset >= bytes) [[unlikely]]
+      out_of_range(offset);
+    return base + offset;
+  }
+
+ private:
+  /// Throws lgg::Error for an out-of-range addr() offset.
+  [[noreturn]] void out_of_range(std::uint64_t offset) const;
 };
 
 /// One allocation event, kept for the lifetime of the DeviceMemory so the

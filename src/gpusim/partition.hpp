@@ -56,7 +56,9 @@ struct PartitionHistogram {
   }
   void add_transactions(const PartitionModel& model,
                         std::span<const Transaction> txns) {
-    for (const Transaction& t : txns) add(model, t.base);
+    count.resize(model.partitions(), 0);
+    for (const Transaction& t : txns) ++count[model.partition_of(t.base)];
+    total += txns.size();
   }
   void merge(const PartitionHistogram& other);
 

@@ -9,6 +9,14 @@
 
 namespace lgg::serve {
 
+BfsSummary summarize_bfs(const graph::BfsTree& tree) {
+  BfsSummary summary;
+  summary.depth = tree.depth;
+  for (const std::uint32_t lvl : tree.level)
+    if (lvl != graph::kUnreached) ++summary.reached;
+  return summary;
+}
+
 ResidentGraph& Catalog::load_file(const std::string& name,
                                   const std::string& path) {
   ingest::IngestOptions iopts;

@@ -9,7 +9,7 @@
 //     runs charge ZERO modelled preprocessing (core/hybrid.hpp),
 //   * ingest::OrientedGraph — the DODG the fast host triangle counter
 //     intersects,
-//   * per-source BfsTrees and the per-vertex clustering-coefficient
+//   * per-source BFS summaries and the per-vertex clustering-coefficient
 //     vector, memoized on first use.
 //
 // Every artifact is a pure function of the graph content, so residency is
@@ -45,6 +45,18 @@ struct CatalogOptions {
   obs::Session* obs = nullptr;
 };
 
+/// What a bfs query answers from one BFS tree: its depth and how many
+/// vertices it reached.  The memo keeps only this, not the O(n) tree.
+struct BfsSummary {
+  std::uint32_t depth = 0;
+  std::uint64_t reached = 0;
+
+  friend bool operator==(const BfsSummary&, const BfsSummary&) = default;
+};
+
+/// Summarise a BFS tree.
+BfsSummary summarize_bfs(const graph::BfsTree& tree);
+
 /// One resident graph and its cached preprocessing artifacts.
 struct ResidentGraph {
   std::string name;
@@ -52,8 +64,8 @@ struct ResidentGraph {
   std::uint64_t digest = 0;  // graph::loaded_graph_digest(loaded)
   core::AlsPrecomputed plan;
   ingest::OrientedGraph dodg;
-  /// Memoized per-source BFS trees (filled on first bfs query).
-  std::map<graph::Vertex, graph::BfsTree> bfs_memo;
+  /// Memoized per-source BFS summaries (filled on first bfs query).
+  std::map<graph::Vertex, BfsSummary> bfs_memo;
   /// Memoized per-vertex clustering coefficients (first cc query).
   std::optional<std::vector<double>> cc_memo;
 };

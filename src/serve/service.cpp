@@ -126,15 +126,14 @@ std::string Service::execute_group(ResidentGraph& rg, const Group& group,
         break;
       }
       auto it = rg.bfs_memo.find(head.vertex);
-      if (it == rg.bfs_memo.end())
-        it = rg.bfs_memo.emplace(head.vertex, graph::bfs(g, head.vertex))
-                 .first;
-      const graph::BfsTree& tree = it->second;
-      std::uint64_t reached = 0;
-      for (const std::uint32_t lvl : tree.level)
-        if (lvl != graph::kUnreached) ++reached;
-      ok_all("depth=" + std::to_string(tree.depth) +
-             " reached=" + std::to_string(reached) + " backend=" + backend);
+      if (it == rg.bfs_memo.end()) {
+        const BfsSummary fresh = summarize_bfs(graph::bfs(g, head.vertex));
+        it = rg.bfs_memo.emplace(head.vertex, fresh).first;
+      }
+      const BfsSummary& summary = it->second;
+      ok_all("depth=" + std::to_string(summary.depth) +
+             " reached=" + std::to_string(summary.reached) +
+             " backend=" + backend);
       break;
     }
     case QueryKind::kCc: {

@@ -8,6 +8,20 @@
 
 namespace lgg {
 
+namespace {
+
+/// Retire one queued task of a parallel_for call.  The decrement and the
+/// notify both happen under done_mutex: the waiting caller can only see
+/// zero after this worker has released the lock, so the caller's frame
+/// (remaining, done_mutex, done_cv) is never used after it returns.
+void finish_task(std::size_t& remaining, std::mutex& done_mutex,
+                 std::condition_variable& done_cv) {
+  const std::lock_guard lock(done_mutex);
+  if (--remaining == 0) done_cv.notify_all();
+}
+
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::thread::hardware_concurrency();
@@ -61,7 +75,10 @@ void ThreadPool::parallel_for(
     return;
   }
 
-  std::atomic<std::size_t> remaining{chunks - 1};
+  // Completion state lives on this frame.  Workers decrement `remaining`
+  // and notify while holding done_mutex, so once the caller sees zero no
+  // worker touches this frame again (see finish_task).
+  std::size_t remaining = chunks - 1;
   std::exception_ptr first_error;
   std::mutex error_mutex;
   std::mutex done_mutex;
@@ -82,10 +99,7 @@ void ThreadPool::parallel_for(
         const std::lock_guard lock(error_mutex);
         if (!first_error) first_error = std::current_exception();
       }
-      if (remaining.fetch_sub(1) == 1) {
-        const std::lock_guard lock(done_mutex);
-        done_cv.notify_all();
-      }
+      finish_task(remaining, done_mutex, done_cv);
     };
     {
       const std::lock_guard lock(mutex_);
@@ -103,7 +117,7 @@ void ThreadPool::parallel_for(
   }
 
   std::unique_lock lock(done_mutex);
-  done_cv.wait(lock, [&] { return remaining.load() == 0; });
+  done_cv.wait(lock, [&] { return remaining == 0; });
   if (first_error) std::rethrow_exception(first_error);
 }
 
@@ -148,7 +162,7 @@ void ThreadPool::parallel_for_dynamic(
   // calling thread claims chunks too, so every chunk is joined before the
   // scope exits even if the queue is busy.
   const std::size_t tasks = std::min(workers_.size(), chunks - 1);
-  std::atomic<std::size_t> remaining{tasks};
+  std::size_t remaining = tasks;  // guarded by done_mutex, as in parallel_for
   std::mutex done_mutex;
   std::condition_variable done_cv;
   {
@@ -156,10 +170,7 @@ void ThreadPool::parallel_for_dynamic(
     for (std::size_t t = 0; t < tasks; ++t) {
       tasks_.emplace([&] {
         run_chunks();
-        if (remaining.fetch_sub(1) == 1) {
-          const std::lock_guard done_lock(done_mutex);
-          done_cv.notify_all();
-        }
+        finish_task(remaining, done_mutex, done_cv);
       });
     }
   }
@@ -168,7 +179,7 @@ void ThreadPool::parallel_for_dynamic(
   run_chunks();
 
   std::unique_lock lock(done_mutex);
-  done_cv.wait(lock, [&] { return remaining.load() == 0; });
+  done_cv.wait(lock, [&] { return remaining == 0; });
   if (first_error) std::rethrow_exception(first_error);
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <tuple>
+#include <vector>
 
 #include "combi/binomial.hpp"
 #include "core/als_plan.hpp"
@@ -105,6 +107,74 @@ TEST(AlsDecode, RoundTripLargeRandom) {
     const std::uint64_t i = rng.uniform(job.tests);
     const TestTriple t = als_decode_test(job, i);
     EXPECT_EQ(als_test_index(job, t), i);
+  }
+}
+
+TEST(AlsDecode, RoundTripTinyJobs) {
+  // s = 3 and s = 4, for both the last-ALS bound (s - 2) and a = 1.
+  for (const std::uint32_t s : {3u, 4u}) {
+    for (const std::uint32_t x_max : {1u, s - 2}) {
+      AlsJob job;
+      job.s = s;
+      job.a = x_max;
+      job.x_max = x_max;
+      job.tests = als_total_tests(s, x_max);
+      std::uint64_t expect = 0;
+      for (std::uint32_t x = 0; x < x_max; ++x) expect += als_tests_for_x(s, x);
+      ASSERT_EQ(job.tests, expect);
+      TestTriple prev{};
+      for (std::uint64_t i = 0; i < job.tests; ++i) {
+        const TestTriple t = als_decode_test(job, i);
+        EXPECT_EQ(als_test_index(job, t), i);
+        if (i > 0) {
+          EXPECT_TRUE(std::tie(prev.x, prev.y, prev.z) <
+                      std::tie(t.x, t.y, t.z));
+        }
+        prev = t;
+      }
+    }
+  }
+}
+
+TEST(AlsDecode, RoundTripAcrossExactArithmeticCutover) {
+  // The decode evaluates C(n, 3) in plain 64-bit arithmetic while
+  // n(n-1)(n-2) < 2^64 (n <= 2642246) and through combi::binomial above.
+  // Jobs on both sides of the cut-over, whose binary searches cross it,
+  // must round-trip at the ends of the space, at every x-block boundary
+  // near the cut-over and at random indices.
+  for (const std::uint32_t s : {2642245u, 2642246u, 2642247u, 2642250u,
+                                3000000u}) {
+    AlsJob job;
+    job.s = s;
+    job.x_max = s - 2;
+    job.a = job.x_max;
+    job.tests = als_total_tests(job.s, job.x_max);
+    ASSERT_NE(job.tests, combi::kBinomialOverflow);
+    ASSERT_EQ(job.tests, combi::binomial(s, 3));
+    std::vector<std::uint64_t> indices = {0, 1, job.tests - 1};
+    // First test of x-blocks whose suffix size s - x straddles the cut.
+    for (std::uint32_t x = 0; x < 8 && x < job.x_max; ++x) {
+      const TestTriple first{x, x + 1, x + 2};
+      indices.push_back(als_test_index(job, first));
+    }
+    if (s > 2642246u) {
+      const std::uint32_t x_cut = s - 2642246u;  // s - x == cut-over n
+      for (std::uint32_t x = x_cut - 1; x <= x_cut + 1; ++x) {
+        const std::uint64_t at = als_test_index(job, {x, x + 1, x + 2});
+        indices.push_back(at);
+        if (at > 0) indices.push_back(at - 1);
+      }
+    }
+    Xoshiro256 rng(s);
+    for (int trial = 0; trial < 200; ++trial)
+      indices.push_back(rng.uniform(job.tests));
+    for (const std::uint64_t i : indices) {
+      const TestTriple t = als_decode_test(job, i);
+      ASSERT_LT(t.x, t.y);
+      ASSERT_LT(t.y, t.z);
+      ASSERT_LT(t.z, job.s);
+      ASSERT_EQ(als_test_index(job, t), i) << "s=" << s << " index " << i;
+    }
   }
 }
 

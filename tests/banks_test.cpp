@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "gpusim/banks.hpp"
 #include "util/error.hpp"
+#include "util/prng.hpp"
 
 namespace lgg::gpusim {
 namespace {
@@ -67,6 +69,45 @@ TEST(BankConflict, EmptyAccess) {
 TEST(BankConflict, ZeroBanksThrows) {
   std::vector<std::uint64_t> addrs{0};
   EXPECT_THROW(bank_conflict_degree(addrs, 0), lgg::Error);
+}
+
+TEST(BankConflict, MoreThanAWarpThrows) {
+  const std::vector<std::uint64_t> addrs(kMaxBankAccesses + 1, 0);
+  EXPECT_THROW(bank_conflict_degree(addrs, 16), lgg::Error);
+}
+
+/// The original per-bank vector-of-vectors formulation, kept only as an
+/// oracle for the fixed-storage bank_conflict_degree.
+std::uint32_t reference_degree(const std::vector<std::uint64_t>& addrs,
+                               std::uint32_t banks) {
+  if (addrs.empty()) return 0;
+  std::vector<std::vector<std::uint64_t>> words_per_bank(banks);
+  for (const std::uint64_t addr : addrs)
+    words_per_bank[bank_of(addr, banks)].push_back(addr / 4);
+  std::uint32_t degree = 1;
+  for (auto& words : words_per_bank) {
+    std::sort(words.begin(), words.end());
+    words.erase(std::unique(words.begin(), words.end()), words.end());
+    degree = std::max(degree, static_cast<std::uint32_t>(words.size()));
+  }
+  return degree;
+}
+
+TEST(BankConflict, MatchesReferenceOnRandomAccesses) {
+  Xoshiro256 rng(9);
+  for (int trial = 0; trial < 3000; ++trial) {
+    // 16 and 32 banks as modelled, plus a non-power-of-two count.
+    const std::uint32_t banks_choice[] = {16, 32, 12};
+    const std::uint32_t banks = banks_choice[rng.uniform(3)];
+    const std::size_t n = rng.uniform(kMaxBankAccesses + 1);
+    // Narrow ranges force broadcasts and repeated banks; wide ones don't.
+    const std::uint64_t range = std::uint64_t{1} << (2 + rng.uniform(12));
+    std::vector<std::uint64_t> addrs(n);
+    for (auto& a : addrs) a = rng.uniform(range);
+    ASSERT_EQ(bank_conflict_degree(addrs, banks),
+              reference_degree(addrs, banks))
+        << "trial " << trial;
+  }
 }
 
 }  // namespace

@@ -53,7 +53,7 @@ KernelFn mixed_kernel(const Buffer& buf) {
     for (std::uint64_t r = 0; r < reads; ++r)
       rec.global_read(buf, (salt + r * 4096) % ((1 << 22) - 16) / 4 * 4, 4);
     if (ctx.global_id % 2 == 0)
-      rec.shared_access(64ull * (ctx.lane % 8));  // some conflicts
+      rec.shared_read(64ull * (ctx.lane % 8));  // some conflicts
   };
 }
 

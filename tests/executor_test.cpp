@@ -124,12 +124,12 @@ TEST(Executor, BankConflictsCharged) {
   KernelConfig cfg{"banks", 1, 32};
   const KernelReport free = sim.run(
       [&](const ThreadCtx& ctx, ThreadRecorder& rec) {
-        rec.shared_access(4ull * ctx.lane);
+        rec.shared_read(4ull * ctx.lane);
       },
       cfg);
   const KernelReport conflicted = sim.run(
       [&](const ThreadCtx& ctx, ThreadRecorder& rec) {
-        rec.shared_access(64ull * ctx.lane);  // 16-way conflict
+        rec.shared_read(64ull * ctx.lane);  // 16-way conflict
       },
       cfg);
   EXPECT_EQ(free.shared_slots, 1u);

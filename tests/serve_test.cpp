@@ -374,6 +374,42 @@ TEST(ServeDevice, CacheHitsBypassTheDeviceEntirely) {
   EXPECT_EQ(second[0].body, first[0].body);
 }
 
+TEST(ServeBfsMemo, MemoizedSummaryMatchesFreshBfs) {
+  // A sparse graph with several components, so `reached` varies by source.
+  const graph::Graph g = graph::gnm(60, 50, 3);
+  serve::Catalog catalog;
+  catalog.add("g", g);
+  serve::ServeOptions sopts;
+  sopts.cache_capacity = 0;  // repeat queries must be answered by the memo
+  serve::Service service(catalog, sopts);
+
+  std::uint64_t id = 0;
+  const auto ask = [&](graph::Vertex source) {
+    serve::Request r;
+    r.id = id++;
+    r.tenant = "t";
+    r.graph = "g";
+    r.kind = serve::QueryKind::kBfs;
+    r.vertex = source;
+    service.submit(std::move(r));
+    return service.drain().at(0).body;
+  };
+  for (graph::Vertex v = 0; v < g.num_vertices(); v += 7) {
+    const graph::BfsTree tree = graph::bfs(g, v);
+    std::uint64_t reached = 0;
+    for (const std::uint32_t lvl : tree.level)
+      if (lvl != graph::kUnreached) ++reached;
+    const std::string want = "depth=" + std::to_string(tree.depth) +
+                             " reached=" + std::to_string(reached) +
+                             " backend=host";
+    EXPECT_EQ(ask(v), want) << "first query from " << v;
+    const serve::BfsSummary& memo = catalog.find("g")->bfs_memo.at(v);
+    EXPECT_EQ(memo, (serve::BfsSummary{tree.depth, reached}));
+    EXPECT_EQ(memo, serve::summarize_bfs(tree));
+    EXPECT_EQ(ask(v), want) << "memoized query from " << v;
+  }
+}
+
 TEST(ServePlan, PreparedPlanMatchesColdRunsAndChargesNoPreprocessing) {
   const graph::Graph g = graph::gnm(48, 160, 5);
   const core::AlsPrecomputed plan = core::precompute_als(g);

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <string>
+
+#include <unistd.h>
 
 #include "core/triangle_cpu.hpp"
 #include "graph/generators.hpp"
@@ -12,8 +15,11 @@
 namespace lgg::stream {
 namespace {
 
+/// Writes `g` to a temp file whose name carries the process id: ctest -j
+/// runs each parameterised case as its own process, all sharing TempDir().
 std::string write_temp_graph(const graph::Graph& g, const std::string& name) {
-  const std::string path = ::testing::TempDir() + "/" + name;
+  const std::string path =
+      ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
   graph::write_snap_edge_list_file(path, g, "stream test");
   return path;
 }

@@ -4,6 +4,7 @@
 #include <mutex>
 #include <set>
 #include <sstream>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -309,6 +310,42 @@ TEST(ThreadPoolDynamic, PropagatesException) {
                      if (lo != 0) throw std::runtime_error("dynamic boom");
                    }),
                std::runtime_error);
+}
+
+TEST(ThreadPool, TinyCallsNeverTouchAReturnedFrame) {
+  // Regression: the last worker used to decrement the completion count
+  // and only then lock done_mutex to notify, so the caller could see zero,
+  // return, and reuse the frame holding done_mutex/done_cv while the
+  // worker still used them.  Each call below splits [0, 4) into four
+  // one-element chunks; whoever runs chunk 0 (the caller, in
+  // parallel_for) waits until the other three have run, then spins a
+  // call-dependent few steps, so over the loop the caller's completion
+  // check sweeps across the moment the last worker retires.  Thousands of
+  // back-to-back calls on one private pool reuse the same frame;
+  // ThreadSanitizer (the tsan preset runs this label) reports any late
+  // touch, and a plain build may crash or hang on it.
+  ThreadPool pool(3);
+  std::atomic<int> others_done{0};
+  std::atomic<int> delay{0};
+  const auto chunk = [&](std::size_t lo, std::size_t) {
+    if (lo != 0) {
+      others_done.fetch_add(1);
+      return;
+    }
+    while (others_done.load() < 3) std::this_thread::yield();
+    std::atomic<int> spin{0};
+    while (spin.fetch_add(1) < delay.load()) {
+    }
+  };
+  for (int i = 0; i < 3000; ++i) {
+    delay = i % 97;
+    others_done = 0;
+    pool.parallel_for(4, chunk);
+    ASSERT_EQ(others_done.load(), 3);
+    others_done = 0;
+    pool.parallel_for_dynamic(4, chunk, 1, 1);
+    ASSERT_EQ(others_done.load(), 3);
+  }
 }
 
 TEST(ThreadPool, GrainLargerThanRangeRunsInline) {
