@@ -1,36 +1,45 @@
 #include "core/bfs_gpu.hpp"
 
 #include <algorithm>
-#include <optional>
-#include <utility>
+#include <string>
 
-#include "gpusim/calibration.hpp"
-#include "gpusim/executor.hpp"
-#include "gpusim/memory.hpp"
 #include "util/error.hpp"
 
 namespace lgg::core {
 
-namespace cal = gpusim::calibration;
 using graph::Graph;
 using graph::Vertex;
+
+namespace {
+
+/// Device arrays of one run: level flags (4-byte words), CSR offsets
+/// (8-byte words) and CSR neighbours (4-byte words), in allocation order.
+struct BfsBuffers {
+  gpusim::Buffer levels;
+  gpusim::Buffer offsets;
+  gpusim::Buffer adj;
+};
+
+BfsBuffers alloc_bfs(const Graph& g, gpusim::DeviceMemory& mem) {
+  const std::uint64_t n = g.num_vertices();
+  BfsBuffers b;
+  b.levels = mem.alloc(std::max<std::uint64_t>(n, 1) * 4);
+  b.offsets = mem.alloc(std::max<std::uint64_t>((n + 1) * 8, 8));
+  b.adj = mem.alloc(std::max<std::uint64_t>(g.raw_adjacency().size() * 4, 4));
+  return b;
+}
+
+}  // namespace
 
 GpuBfsResult bfs_gpu(const Graph& g, Vertex source,
                      const GpuBfsOptions& opts) {
   LGG_CHECK(source < g.num_vertices(), "bfs_gpu: source out of range");
-  const gpusim::DeviceSpec& dev =
-      opts.device ? *opts.device : gpusim::tesla_c1060();
   const std::uint32_t tpb = opts.threads_per_block;
-  LGG_CHECK(tpb >= dev.warp_size && tpb % dev.warp_size == 0,
-            "threads_per_block must be a positive multiple of the warp size");
+  const gpusim::DeviceSpec& dev = launch_shape(opts.device, 0, tpb).dev;
 
   const std::uint64_t n = g.num_vertices();
   gpusim::DeviceMemory mem(dev, opts.faults);
-  const gpusim::Buffer levels_buf = mem.alloc(std::max<std::uint64_t>(n, 1) * 4);
-  const gpusim::Buffer offsets_buf =
-      mem.alloc(std::max<std::uint64_t>((n + 1) * 8, 8));
-  const gpusim::Buffer adj_buf = mem.alloc(
-      std::max<std::uint64_t>(g.raw_adjacency().size() * 4, 4));
+  const BfsBuffers bufs = alloc_bfs(g, mem);
   const gpusim::Simulator sim(dev, opts.faults);
 
   GpuBfsResult result;
@@ -46,28 +55,13 @@ GpuBfsResult bfs_gpu(const Graph& g, Vertex source,
     driver.arg("source", static_cast<std::uint64_t>(source));
   }
 
-  gpusim::TransferReport transfer;
-  {
-    obs::Scope span(opts.obs, "transfer/h2d", "transfer");
-    transfer = sim.transfer(levels_buf.bytes + offsets_buf.bytes +
-                            adj_buf.bytes);
-    span.model_s(transfer.time_s);
-    if (span) span.arg("bytes", transfer.bytes);
-  }
-  obs::record_transfer(opts.obs, transfer);
+  const gpusim::TransferReport transfer = stage(
+      opts, sim, bufs.levels.bytes + bufs.offsets.bytes + bufs.adj.bytes);
 
   const auto blocks = static_cast<std::uint32_t>((n + tpb - 1) / tpb);
   auto& tree = result.tree;
-
-  // Sancheck wiring: levels, offsets and adjacency are all staged before
-  // the first launch; one analyzer serves every level launch.
-  std::optional<sancheck::TapeAnalyzer> analyzer;
-  if (opts.sancheck != sancheck::SancheckMode::kOff) {
-    sancheck::SancheckConfig sc;
-    sc.mode = opts.sancheck;
-    sc.staged = {levels_buf, offsets_buf, adj_buf};
-    analyzer.emplace(std::move(sc), mem);
-  }
+  // Levels, offsets and adjacency are all staged before the first launch.
+  const gpusim::Buffer staged[] = {bufs.levels, bufs.offsets, bufs.adj};
 
   bool advanced = true;
   std::uint32_t current = 0;
@@ -75,25 +69,25 @@ GpuBfsResult bfs_gpu(const Graph& g, Vertex source,
     advanced = false;
     // Thread-safe under the simulator's parallel replay: the kernel only
     // reads `tree` (frozen for the duration of the launch — the level
-    // update below runs strictly after sim.run returns) and records
+    // update below runs strictly after the launch returns) and records
     // through its per-thread recorder.
     const gpusim::KernelFn kernel = [&](const gpusim::ThreadCtx& ctx,
                                         gpusim::ThreadRecorder& rec) {
       const std::uint64_t v = ctx.global_id;
       if (v >= n) return;
       // Coalesced frontier-flag read (thread v -> word v).
-      rec.global_read(levels_buf, v * 4, 4);
+      rec.global_read(bufs.levels, v * 4, 4);
       rec.compute(2);
       if (tree.level[v] != current) return;
 
       // Frontier vertex: fetch its CSR slice, then walk neighbours —
       // serial, scattered reads (the HN'07 pattern).
-      rec.global_read(offsets_buf, v * 8, 8);
+      rec.global_read(bufs.offsets, v * 8, 8);
       const auto nbrs = g.neighbors(static_cast<Vertex>(v));
       const std::uint64_t begin = g.raw_offsets()[v];
       for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        rec.global_read(adj_buf, (begin + i) * 4, 4);
-        rec.global_read(levels_buf, static_cast<std::uint64_t>(nbrs[i]) * 4,
+        rec.global_read(bufs.adj, (begin + i) * 4, 4);
+        rec.global_read(bufs.levels, static_cast<std::uint64_t>(nbrs[i]) * 4,
                         4);
         rec.compute(3);
         if (tree.level[nbrs[i]] == graph::kUnreached) {
@@ -101,24 +95,20 @@ GpuBfsResult bfs_gpu(const Graph& g, Vertex source,
           // charged here.  Recorded as an atomic (atomicMin in HN'07-style
           // codes): several frontier threads may discover one vertex in
           // the same level, and that race is benign by construction.
-          rec.global_atomic(levels_buf,
+          rec.global_atomic(bufs.levels,
                             static_cast<std::uint64_t>(nbrs[i]) * 4, 4);
         }
       }
     };
 
-    gpusim::KernelConfig config;
-    config.name = "bfs/level" + std::to_string(current);
-    config.blocks = std::max<std::uint32_t>(blocks, 1);
-    config.threads_per_block = tpb;
-    obs::Scope span(opts.obs, config.name, "launch");
-    const gpusim::KernelReport report =
-        sim.run(kernel, config, 1, opts.exec,
-                analyzer ? &*analyzer : nullptr);
-    span.model_s(report.kernel_time_s);
-    if (span) span.arg("transactions", report.transactions);
-    span.close();
-    obs::record_kernel(opts.obs, report);
+    const gpusim::KernelReport report = launch(
+        opts,
+        {.sim = sim,
+         .mem = mem,
+         .config = {"bfs/level" + std::to_string(current),
+                    std::max<std::uint32_t>(blocks, 1), tpb},
+         .staged = staged},
+        kernel);
     result.kernel_time_s += report.kernel_time_s;
     result.transactions += report.transactions;
     result.bytes += report.bytes;
@@ -140,28 +130,19 @@ GpuBfsResult bfs_gpu(const Graph& g, Vertex source,
     if (advanced) tree.depth = ++current;
   }
 
-  driver.model_s(cal::kDispatchOverheadS + cal::kDeviceInitOverheadS);
-  result.total_time_s = transfer.time_s + cal::kDispatchOverheadS +
-                        cal::kDeviceInitOverheadS + result.kernel_time_s;
+  result.total_time_s =
+      finish_driver(driver, 0.0, transfer.time_s, result.kernel_time_s);
   return result;
 }
 
 sancheck::FootprintSpec bfs_footprint_spec(const Graph& g,
                                            const GpuBfsOptions& opts) {
-  const gpusim::DeviceSpec& dev =
-      opts.device ? *opts.device : gpusim::tesla_c1060();
   const std::uint32_t tpb = opts.threads_per_block;
-  LGG_CHECK(tpb >= dev.warp_size && tpb % dev.warp_size == 0,
-            "threads_per_block must be a positive multiple of the warp size");
+  const gpusim::DeviceSpec& dev = launch_shape(opts.device, 0, tpb).dev;
 
   const std::uint64_t n = g.num_vertices();
   gpusim::DeviceMemory mem(dev);  // scratch: only the addresses matter
-  const gpusim::Buffer levels_buf =
-      mem.alloc(std::max<std::uint64_t>(n, 1) * 4);
-  const gpusim::Buffer offsets_buf =
-      mem.alloc(std::max<std::uint64_t>((n + 1) * 8, 8));
-  const gpusim::Buffer adj_buf =
-      mem.alloc(std::max<std::uint64_t>(g.raw_adjacency().size() * 4, 4));
+  const BfsBuffers bufs = alloc_bfs(g, mem);
 
   sancheck::FootprintSpec spec;
   spec.name = "gpu/bfs";
@@ -172,9 +153,9 @@ sancheck::FootprintSpec bfs_footprint_spec(const Graph& g,
   const auto launch_blocks =
       std::max<std::uint32_t>(static_cast<std::uint32_t>((n + tpb - 1) / tpb), 1);
   spec.workers = static_cast<std::uint64_t>(launch_blocks) * tpb;
-  spec.blocks.push_back({levels_buf.base, levels_buf.bytes, 4});
-  spec.blocks.push_back({offsets_buf.base, offsets_buf.bytes, 8});
-  spec.blocks.push_back({adj_buf.base, adj_buf.bytes, 4});
+  spec.blocks.push_back({bufs.levels.base, bufs.levels.bytes, 4});
+  spec.blocks.push_back({bufs.offsets.base, bufs.offsets.bytes, 8});
+  spec.blocks.push_back({bufs.adj.base, bufs.adj.bytes, 4});
   // Frontier flags are read per own-vertex and per-neighbour (and updated
   // via atomics at the same addresses); offsets per frontier vertex;
   // adjacency by CSR position.  All three are vertex/position-indexed.

@@ -13,31 +13,17 @@
 #include <cstdint>
 
 #include "graph/bfs.hpp"
+#include "core/launch.hpp"
 #include "graph/graph.hpp"
 #include "gpusim/device.hpp"
-#include "gpusim/executor.hpp"
 #include "gpusim/report.hpp"
-#include "obs/obs.hpp"
 #include "sancheck/footprint.hpp"
-#include "sancheck/sancheck.hpp"
 
 namespace lgg::core {
 
-struct GpuBfsOptions {
+struct GpuBfsOptions : RunContext {
   const gpusim::DeviceSpec* device = nullptr;  // nullptr -> C1060
   std::uint32_t threads_per_block = 256;
-  /// Host-side simulator execution policy (parallel by default;
-  /// bit-identical to serial).
-  gpusim::ExecPolicy exec;
-  /// Hazard analysis of every level launch (sancheck/sancheck.hpp).
-  sancheck::SancheckMode sancheck = sancheck::SancheckMode::kOff;
-  /// Optional fault hook (non-owning) installed on the driver's
-  /// DeviceMemory and Simulator; fired faults surface as
-  /// gpusim::DeviceFault (DESIGN.md §11).
-  gpusim::FaultHook* faults = nullptr;
-  /// Optional observability session: one launch span per BFS level plus
-  /// aggregated gpusim counters (DESIGN.md §12).
-  obs::Session* obs = nullptr;
 };
 
 struct GpuBfsResult {

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
+#include <span>
 #include <utility>
 
 #include "core/als_plan.hpp"
@@ -106,33 +106,6 @@ const AlsJob& job_for(const ChunkWork& work, std::uint64_t flat) {
   return *it;
 }
 
-/// Linear rescale of a kernel report by `factor` (> 1 when sampled); the
-/// same transformation count_triangles_gpu applies.
-void rescale(gpusim::KernelReport& k, double factor,
-             const gpusim::DeviceSpec& dev) {
-  if (factor <= 1.0) return;
-  auto scale_u64 = [factor](std::uint64_t v) {
-    return static_cast<std::uint64_t>(static_cast<double>(v) * factor);
-  };
-  k.global_slots = scale_u64(k.global_slots);
-  k.transactions = scale_u64(k.transactions);
-  k.bytes = scale_u64(k.bytes);
-  k.shared_slots = scale_u64(k.shared_slots);
-  k.bank_conflict_steps = scale_u64(k.bank_conflict_steps);
-  k.warp_instructions *= factor;
-  for (auto& c : k.partition_histogram.count) c = scale_u64(c);
-  k.partition_histogram.total = scale_u64(k.partition_histogram.total);
-  k.camping_factor = k.partition_histogram.camping_factor();
-  k.compute_cycles *= factor;
-  k.latency_cycles *= factor;
-  k.dram_cycles *= factor;
-  const double cycles =
-      std::max({k.compute_cycles, k.latency_cycles, k.dram_cycles});
-  k.kernel_time_s =
-      cycles / (dev.core_clock_ghz * 1e9) + cal::kKernelLaunchOverheadS;
-  k.sample_fraction = 1.0 / factor;
-}
-
 }  // namespace
 
 ChunkLaunch run_chunk_kernel(const graph::Graph& g, const graph::Chunk& chunk,
@@ -142,9 +115,8 @@ ChunkLaunch run_chunk_kernel(const graph::Graph& g, const graph::Chunk& chunk,
                              const HybridOptions& opts,
                              ChunkSalvage* salvage) {
   const gpusim::DeviceSpec& dev = sim.spec();
-  const std::uint32_t tpb = opts.threads_per_block;
-  LGG_CHECK(tpb >= dev.warp_size && tpb % dev.warp_size == 0,
-            "threads_per_block must be a positive multiple of the warp size");
+  const std::uint32_t tpb =
+      launch_shape(&dev, 1, opts.threads_per_block).threads_per_block;
   LGG_CHECK(work.tests > 0, "run_chunk_kernel: chunk owns no tests");
 
   // Global-resident chunks keep their local adjacency matrix in device
@@ -243,80 +215,64 @@ ChunkLaunch run_chunk_kernel(const graph::Graph& g, const graph::Chunk& chunk,
     }
   };
 
-  gpusim::KernelConfig config;
-  config.name = chunk.fits_shared ? "chunk/shared" : "chunk/global";
-  config.blocks = 1;
-  config.threads_per_block = tpb;
-
-  // Sancheck wiring: global-resident chunks read a host-staged matrix;
-  // shared chunks only touch shared memory (race-checked via epochs).
-  std::optional<sancheck::TapeAnalyzer> analyzer;
-  if (opts.sancheck != sancheck::SancheckMode::kOff) {
-    sancheck::SancheckConfig sc;
-    sc.mode = opts.sancheck;
-    if (!chunk.fits_shared) sc.staged = {buffer};
-    analyzer.emplace(std::move(sc), mem);
-  }
-
+  // Global-resident chunks read a host-staged matrix; shared chunks only
+  // touch shared memory (race-checked via sync epochs).
   ChunkLaunch out;
-  {
-    obs::Scope span(opts.obs, config.name, "launch");
-    try {
-      out.report = sim.run(kernel, config, 1, opts.exec,
-                           analyzer ? &*analyzer : nullptr, opts.prof);
-    } catch (const gpusim::SmAbortFault& f) {
-      // Harvest the completed warps' output slots before rethrowing: the
-      // chunk runs as one block, so SM 0's abort boundary partitions the
-      // warps into completed (slots exact — warp replay is pure) and
-      // never-run.  Only untruncated chunks are salvageable: a sampled
-      // chunk's slots cover a subset of the owned tests.
-      if (salvage != nullptr && !f.aborts().empty() &&
-          opts.max_simulated_tests_per_chunk == 0) {
-        const gpusim::SmAbortInfo& info = f.aborts().front();
-        LGG_ASSERT(info.sm == 0);
-        salvage->warps_total = chunk_warps;
-        salvage->warps_completed =
-            std::min<std::uint64_t>(info.warps_completed, chunk_warps);
-        salvage->warp_done.assign(chunk_warps, 0);
-        salvage->simulated = 0;
-        salvage->triangles = 0;
-        for (std::uint64_t w = 0; w < salvage->warps_completed; ++w) {
-          salvage->warp_done[w] = 1;
-          salvage->simulated += warp_simulated[w];
-          salvage->triangles += warp_found[w];
-        }
+  try {
+    out.report = launch(
+        opts,
+        {.sim = sim,
+         .mem = mem,
+         .config = {chunk.fits_shared ? "chunk/shared" : "chunk/global", 1,
+                    tpb},
+         .staged = std::span<const gpusim::Buffer>(&buffer,
+                                                   chunk.fits_shared ? 0 : 1),
+         .prof = opts.prof,
+         .reduce =
+             [&] {
+               // Deterministic reduction: fold per-warp slots in warp order.
+               for (std::uint64_t wid = 0; wid < chunk_warps; ++wid) {
+                 out.simulated += warp_simulated[wid];
+                 out.triangles += warp_found[wid];
+               }
+               return sample_factor(work.tests, out.simulated);
+             },
+         .span_args =
+             [&](obs::Scope& span, const gpusim::KernelReport& k) {
+               span.arg("tests", work.tests);
+               span.arg("transactions", k.transactions);
+             }},
+        kernel);
+  } catch (const gpusim::SmAbortFault& f) {
+    // Harvest the completed warps' output slots before rethrowing: the
+    // chunk runs as one block, so SM 0's abort boundary partitions the
+    // warps into completed (slots exact — warp replay is pure) and
+    // never-run.  Only untruncated chunks are salvageable: a sampled
+    // chunk's slots cover a subset of the owned tests.
+    if (salvage != nullptr && !f.aborts().empty() &&
+        opts.max_simulated_tests_per_chunk == 0) {
+      const gpusim::SmAbortInfo& info = f.aborts().front();
+      LGG_ASSERT(info.sm == 0);
+      salvage->warps_total = chunk_warps;
+      salvage->warps_completed =
+          std::min<std::uint64_t>(info.warps_completed, chunk_warps);
+      salvage->warp_done.assign(chunk_warps, 0);
+      salvage->simulated = 0;
+      salvage->triangles = 0;
+      for (std::uint64_t w = 0; w < salvage->warps_completed; ++w) {
+        salvage->warp_done[w] = 1;
+        salvage->simulated += warp_simulated[w];
+        salvage->triangles += warp_found[w];
       }
-      throw;
     }
-
-    // Deterministic reduction: fold per-warp slots in warp order.
-    for (std::uint64_t wid = 0; wid < chunk_warps; ++wid) {
-      out.simulated += warp_simulated[wid];
-      out.triangles += warp_found[wid];
-    }
-    if (out.simulated < work.tests) {
-      const double f = static_cast<double>(work.tests) /
-                       static_cast<double>(
-                           std::max<std::uint64_t>(out.simulated, 1));
-      rescale(out.report, f, dev);
-      // Keep the recorded profile matching the caller-visible report.
-      if (opts.prof) opts.prof->rescale_last(f);
-    }
-    // Span duration and counters use the final (post-rescale) report.
-    span.model_s(out.report.kernel_time_s);
-    if (span) {
-      span.arg("tests", work.tests);
-      span.arg("transactions", out.report.transactions);
-    }
+    throw;
   }
-  obs::record_kernel(opts.obs, out.report);
   return out;
 }
 
 AlsPrecomputed precompute_als(const graph::Graph& g,
                               const HybridOptions& opts) {
-  const gpusim::DeviceSpec& dev =
-      opts.device ? *opts.device : gpusim::tesla_c1060();
+  const gpusim::DeviceSpec& dev = device_or_default(opts.device);
   AlsPrecomputed plan;
   plan.shared_mem_bits = dev.shared_mem_bits();
   plan.metric = opts.metric;
@@ -343,29 +299,21 @@ AlsPrecomputed precompute_als(const graph::Graph& g,
 
 HybridFootprint hybrid_footprint_spec(const graph::Graph& g,
                                       const HybridOptions& opts) {
-  const gpusim::DeviceSpec& dev =
-      opts.device ? *opts.device : gpusim::tesla_c1060();
-  const std::uint32_t tpb = opts.threads_per_block;
-  LGG_CHECK(tpb >= dev.warp_size && tpb % dev.warp_size == 0,
-            "threads_per_block must be a positive multiple of the warp size");
+  const LaunchShape shape =
+      launch_shape(opts.device, 1, opts.threads_per_block);
+  const gpusim::DeviceSpec& dev = shape.dev;
 
-  // Replay Algorithm 1's planning exactly as count_triangles_hybrid does.
-  graph::ChunkingOptions copts;
-  copts.shared_mem_bits = dev.shared_mem_bits();
-  copts.metric = opts.metric;
-  const graph::ChunkingResult chunking = graph::split_into_chunks(g, copts);
-  std::vector<graph::LevelDecomposition> levels;
-  levels.reserve(chunking.trees.size());
-  for (const auto& tree : chunking.trees) levels.emplace_back(tree);
+  // Algorithm 1's planning, exactly as count_triangles_hybrid runs it.
+  const AlsPrecomputed plan = precompute_als(g, opts);
 
   HybridFootprint fp;
   fp.sm_count = dev.sm_count;
   gpusim::DeviceMemory mem(dev);  // scratch: only the addresses matter
   const std::uint64_t shared_bytes = dev.shared_mem_bits() / 8;
 
-  for (std::size_t ci = 0; ci < chunking.chunks.size(); ++ci) {
-    const graph::Chunk& chunk = chunking.chunks[ci];
-    const ChunkWork work = build_chunk_work(chunk, levels[chunk.component]);
+  for (std::size_t ci = 0; ci < plan.chunking.chunks.size(); ++ci) {
+    const graph::Chunk& chunk = plan.chunking.chunks[ci];
+    const ChunkWork& work = plan.works[ci];
     fp.chunk_tests.push_back(work.tests);
     if (work.tests == 0) continue;  // never launched, nothing to prove
 
@@ -377,7 +325,7 @@ HybridFootprint hybrid_footprint_spec(const graph::Graph& g,
     spec.warp_size = dev.warp_size;
     spec.warp_interleaved = true;
     spec.division = sancheck::WorkDivision::kCyclic;
-    spec.workers = tpb;  // one block == one SM job
+    spec.workers = shape.threads();  // one block == one SM job
 
     std::size_t job_block = 0;
     if (chunk.fits_shared) {
@@ -415,11 +363,10 @@ HybridFootprint hybrid_footprint_spec(const graph::Graph& g,
 
 HybridResult count_triangles_hybrid(const graph::Graph& g,
                                     const HybridOptions& opts) {
-  const gpusim::DeviceSpec& dev =
-      opts.device ? *opts.device : gpusim::tesla_c1060();
-  const std::uint32_t tpb = opts.threads_per_block;
-  LGG_CHECK(tpb >= dev.warp_size && tpb % dev.warp_size == 0,
-            "threads_per_block must be a positive multiple of the warp size");
+  const LaunchShape shape =
+      launch_shape(opts.device, 1, opts.threads_per_block);
+  const gpusim::DeviceSpec& dev = shape.dev;
+  const std::uint32_t tpb = shape.threads_per_block;
 
   obs::Scope driver(opts.obs, "gpu/hybrid", "driver");
   if (driver) {
@@ -553,9 +500,8 @@ HybridResult count_triangles_hybrid(const graph::Graph& g,
     tr.time_s = transfer_s;
     obs::record_transfer(opts.obs, tr);
   }
-  driver.model_s(cal::kDispatchOverheadS + cal::kDeviceInitOverheadS);
-  result.total_time_s = preprocessing + transfer_s + cal::kDispatchOverheadS +
-                        cal::kDeviceInitOverheadS + result.makespan_s;
+  result.total_time_s =
+      finish_driver(driver, preprocessing, transfer_s, result.makespan_s);
   return result;
 }
 

@@ -20,12 +20,10 @@
 #include "core/als_plan.hpp"
 #include "graph/bfs.hpp"
 #include "graph/chunking.hpp"
+#include "core/launch.hpp"
 #include "graph/graph.hpp"
 #include "gpusim/device.hpp"
-#include "gpusim/executor.hpp"
-#include "obs/obs.hpp"
 #include "sancheck/footprint.hpp"
-#include "sancheck/sancheck.hpp"
 #include "sched/makespan.hpp"
 
 namespace lgg::core {
@@ -36,7 +34,10 @@ enum class SchedulerKind : int { kList = 0, kLpt = 1, kMultifit = 2 };
 
 struct AlsPrecomputed;
 
-struct HybridOptions {
+/// A fired `faults` hook (RunContext) makes chunk allocations and launches
+/// throw gpusim::DeviceFault; this pipeline does NOT recover — use
+/// resilience::run_resilient for retry/failover semantics.
+struct HybridOptions : RunContext {
   /// Device to simulate; nullptr selects the paper's C1060.
   const gpusim::DeviceSpec* device = nullptr;
   graph::SizeMetric metric = graph::SizeMetric::kSutm;
@@ -45,24 +46,9 @@ struct HybridOptions {
   /// Cap on candidate triples simulated per chunk (0 = all); statistics
   /// of truncated chunks are rescaled exactly as in count_triangles_gpu.
   std::uint64_t max_simulated_tests_per_chunk = 0;
-  /// Host-side simulator execution policy (parallel by default;
-  /// bit-identical to serial).
-  gpusim::ExecPolicy exec;
-  /// Hazard analysis of every chunk launch (sancheck/sancheck.hpp).
-  sancheck::SancheckMode sancheck = sancheck::SancheckMode::kOff;
-  /// Optional fault hook (non-owning) installed on the DeviceMemory and
-  /// Simulator the pipeline constructs: chunk allocations and launches can
-  /// then throw gpusim::DeviceFault (DESIGN.md §11).  The plain hybrid
-  /// pipeline does NOT recover — use resilience::run_resilient for
-  /// retry/failover semantics.
-  gpusim::FaultHook* faults = nullptr;
-  /// Optional observability session: chunk/schedule/launch spans plus
-  /// gpusim counters (DESIGN.md §12).  run_chunk_kernel reads it too, so
-  /// the resilient runner inherits launch spans by forwarding it here.
-  obs::Session* obs = nullptr;
   /// Optional profiler hook (non-owning): every chunk launch deposits
   /// modelled hardware counters (DESIGN.md §17).  run_chunk_kernel reads
-  /// it too, so the resilient runner forwards it the same way as `obs`.
+  /// it and `obs`, so the resilient runner forwards both here.
   gpusim::ProfilerHook* prof = nullptr;
   /// Optional precomputed Algorithm 1 plan (non-owning; see
   /// precompute_als).  When set, the pipeline skips chunking / level

@@ -2,18 +2,12 @@
 
 #include <algorithm>
 #include <numeric>
-#include <optional>
 #include <utility>
 
 #include "combi/strategies.hpp"
-#include "gpusim/calibration.hpp"
-#include "gpusim/executor.hpp"
-#include "gpusim/memory.hpp"
-#include "util/error.hpp"
 
 namespace lgg::core {
 
-namespace cal = gpusim::calibration;
 using graph::Graph;
 using graph::Vertex;
 
@@ -78,49 +72,49 @@ std::uint64_t merge_count(std::span<const Vertex> a,
   return count;
 }
 
+/// The device CSR: offsets (8-byte words) then neighbours (4-byte words).
+struct CsrBuffers {
+  gpusim::Buffer offsets;
+  gpusim::Buffer adj;
+};
+
+CsrBuffers alloc_csr(const Graph& g, const Oriented& oriented,
+                     gpusim::DeviceMemory& mem) {
+  const std::uint64_t n = g.num_vertices();
+  CsrBuffers csr;
+  csr.offsets = mem.alloc(std::max<std::uint64_t>((n + 1) * 8, 8));
+  csr.adj = mem.alloc(std::max<std::uint64_t>(oriented.out.size() * 4, 4));
+  return csr;
+}
+
 }  // namespace
 
 GpuIntersectResult count_triangles_gpu_intersect(
     const Graph& g, const GpuIntersectOptions& opts) {
-  const gpusim::DeviceSpec& dev =
-      opts.device ? *opts.device : gpusim::tesla_c1060();
-  const std::uint32_t blocks = opts.blocks ? opts.blocks : 2 * dev.sm_count;
-  const std::uint32_t tpb = opts.threads_per_block;
-  LGG_CHECK(tpb >= dev.warp_size && tpb % dev.warp_size == 0,
-            "threads_per_block must be a positive multiple of the warp size");
+  const LaunchShape shape =
+      launch_shape(opts.device, opts.blocks, opts.threads_per_block);
+  const gpusim::DeviceSpec& dev = shape.dev;
 
   const Oriented oriented = orient(g);
-  const std::uint64_t n = g.num_vertices();
 
   GpuIntersectResult result;
   result.total_edges = oriented.edges.size();
 
   gpusim::DeviceMemory mem(dev, opts.faults);
-  const gpusim::Buffer offsets_buf =
-      mem.alloc(std::max<std::uint64_t>((n + 1) * 8, 8));
-  const gpusim::Buffer adj_buf =
-      mem.alloc(std::max<std::uint64_t>(oriented.out.size() * 4, 4));
-  result.device_bytes = offsets_buf.bytes + adj_buf.bytes;
+  const CsrBuffers csr = alloc_csr(g, oriented, mem);
+  result.device_bytes = csr.offsets.bytes + csr.adj.bytes;
   const gpusim::Simulator sim(dev, opts.faults);
   obs::Scope driver(opts.obs, "gpu/intersect", "driver");
   if (driver) driver.arg("edges", result.total_edges);
-  {
-    obs::Scope span(opts.obs, "transfer/h2d", "transfer");
-    result.transfer = sim.transfer(result.device_bytes);
-    span.model_s(result.transfer.time_s);
-    if (span) span.arg("bytes", result.transfer.bytes);
-  }
-  obs::record_transfer(opts.obs, result.transfer);
+  result.transfer = stage(opts, sim, result.device_bytes);
 
   if (oriented.edges.empty()) {
-    result.total_time_s = result.transfer.time_s + cal::kDispatchOverheadS +
-                          cal::kDeviceInitOverheadS;
-    driver.model_s(cal::kDispatchOverheadS + cal::kDeviceInitOverheadS);
+    result.total_time_s =
+        finish_driver(driver, 0.0, result.transfer.time_s, 0.0);
     return result;
   }
 
-  const std::uint64_t warps =
-      static_cast<std::uint64_t>(blocks) * tpb / dev.warp_size;
+  const std::uint64_t warps = shape.warps();
   const auto ranges = combi::divide_work(oriented.edges.size(), warps);
 
   std::uint64_t per_warp_budget = ~std::uint64_t{0};
@@ -152,8 +146,8 @@ GpuIntersectResult count_triangles_gpu_intersect(
 
       // Every lane reads the two offset words (same address: a broadcast,
       // one transaction on CC >= 1.2).
-      rec.global_read(offsets_buf, static_cast<std::uint64_t>(u) * 8, 8);
-      rec.global_read(offsets_buf, static_cast<std::uint64_t>(v) * 8, 8);
+      rec.global_read(csr.offsets, static_cast<std::uint64_t>(u) * 8, 8);
+      rec.global_read(csr.offsets, static_cast<std::uint64_t>(v) * 8, 8);
 
       // Lane-parallel coalesced streaming of both adjacency lists: lane l
       // reads elements l, l+32, ...; trailing lanes clamp to the last
@@ -165,7 +159,7 @@ GpuIntersectResult count_triangles_gpu_intersect(
         for (std::uint64_t s = 0; s < slots; ++s) {
           std::uint64_t idx = begin + s * dev.warp_size + ctx.lane;
           if (idx >= begin + len) idx = begin + len - 1;  // clamp
-          rec.global_read(adj_buf, idx * 4, 4);
+          rec.global_read(csr.adj, idx * 4, 4);
         }
         rec.compute(static_cast<double>(slots));  // merge-step issue cost
       }
@@ -184,88 +178,44 @@ GpuIntersectResult count_triangles_gpu_intersect(
     }
   };
 
-  gpusim::KernelConfig config;
-  config.name = "triangles/intersect";
-  config.blocks = blocks;
-  config.threads_per_block = tpb;
+  // The CSR (offsets + neighbours) is staged by the host.
+  const gpusim::Buffer staged[] = {csr.offsets, csr.adj};
+  result.kernel = launch(
+      opts,
+      {.sim = sim,
+       .mem = mem,
+       .config = {"triangles/intersect", shape.blocks,
+                  shape.threads_per_block},
+       .staged = staged,
+       .reduce =
+           [&] {
+             // Deterministic reduction: fold per-warp slots in warp order.
+             std::uint64_t simulated_work = 0;
+             for (std::uint64_t wid = 0; wid < warps; ++wid) {
+               result.triangles += warp_triangles[wid];
+               result.simulated_edges += warp_edges[wid];
+               simulated_work += warp_work[wid];
+             }
+             result.exact = result.simulated_edges == oriented.edges.size();
+             return sample_factor(total_work, simulated_work);
+           }},
+      kernel);
 
-  // Sancheck wiring: the CSR (offsets + neighbours) is staged by the host.
-  std::optional<sancheck::TapeAnalyzer> analyzer;
-  if (opts.sancheck != sancheck::SancheckMode::kOff) {
-    sancheck::SancheckConfig sc;
-    sc.mode = opts.sancheck;
-    sc.staged = {offsets_buf, adj_buf};
-    analyzer.emplace(std::move(sc), mem);
-  }
-  obs::Scope launch_span(opts.obs, config.name, "launch");
-  result.kernel =
-      sim.run(kernel, config, 1, opts.exec, analyzer ? &*analyzer : nullptr);
-
-  // Deterministic reduction: fold per-warp slots in warp order.
-  std::uint64_t triangles = 0, simulated_edges = 0, simulated_work = 0;
-  for (std::uint64_t wid = 0; wid < warps; ++wid) {
-    triangles += warp_triangles[wid];
-    simulated_edges += warp_edges[wid];
-    simulated_work += warp_work[wid];
-  }
-  result.simulated_edges = simulated_edges;
-  result.triangles = triangles;
-  result.exact = simulated_edges == oriented.edges.size();
-
-  if (!result.exact && simulated_work > 0) {
-    const double f = static_cast<double>(total_work) /
-                     static_cast<double>(simulated_work);
-    auto scale_u64 = [f](std::uint64_t x) {
-      return static_cast<std::uint64_t>(static_cast<double>(x) * f);
-    };
-    gpusim::KernelReport& k = result.kernel;
-    k.global_slots = scale_u64(k.global_slots);
-    k.transactions = scale_u64(k.transactions);
-    k.bytes = scale_u64(k.bytes);
-    k.warp_instructions *= f;
-    for (auto& c : k.partition_histogram.count) c = scale_u64(c);
-    k.partition_histogram.total = scale_u64(k.partition_histogram.total);
-    k.camping_factor = k.partition_histogram.camping_factor();
-    k.compute_cycles *= f;
-    k.latency_cycles *= f;
-    k.dram_cycles *= f;
-    const double cycles =
-        std::max({k.compute_cycles, k.latency_cycles, k.dram_cycles});
-    k.kernel_time_s =
-        cycles / (dev.core_clock_ghz * 1e9) + cal::kKernelLaunchOverheadS;
-    k.sample_fraction = 1.0 / f;
-  }
-
-  // Span duration and counters use the final (post-rescale) report.
-  launch_span.model_s(result.kernel.kernel_time_s);
-  if (launch_span)
-    launch_span.arg("transactions", result.kernel.transactions);
-  launch_span.close();
-  obs::record_kernel(opts.obs, result.kernel);
-  driver.model_s(cal::kDispatchOverheadS + cal::kDeviceInitOverheadS);
-
-  result.total_time_s = result.transfer.time_s + cal::kDispatchOverheadS +
-                        cal::kDeviceInitOverheadS +
-                        result.kernel.kernel_time_s;
+  result.total_time_s = finish_driver(driver, 0.0, result.transfer.time_s,
+                                      result.kernel.kernel_time_s);
   return result;
 }
 
 sancheck::FootprintSpec intersect_footprint_spec(
     const Graph& g, const GpuIntersectOptions& opts) {
-  const gpusim::DeviceSpec& dev =
-      opts.device ? *opts.device : gpusim::tesla_c1060();
-  const std::uint32_t blocks = opts.blocks ? opts.blocks : 2 * dev.sm_count;
-  const std::uint32_t tpb = opts.threads_per_block;
-  LGG_CHECK(tpb >= dev.warp_size && tpb % dev.warp_size == 0,
-            "threads_per_block must be a positive multiple of the warp size");
+  const LaunchShape shape =
+      launch_shape(opts.device, opts.blocks, opts.threads_per_block);
+  const gpusim::DeviceSpec& dev = shape.dev;
 
   const Oriented oriented = orient(g);
   const std::uint64_t n = g.num_vertices();
   gpusim::DeviceMemory mem(dev);  // scratch: only the addresses matter
-  const gpusim::Buffer offsets_buf =
-      mem.alloc(std::max<std::uint64_t>((n + 1) * 8, 8));
-  const gpusim::Buffer adj_buf =
-      mem.alloc(std::max<std::uint64_t>(oriented.out.size() * 4, 4));
+  const CsrBuffers csr = alloc_csr(g, oriented, mem);
 
   sancheck::FootprintSpec spec;
   spec.name = "gpu/intersect";
@@ -273,9 +223,9 @@ sancheck::FootprintSpec intersect_footprint_spec(
   spec.warp_size = dev.warp_size;
   spec.warp_interleaved = true;
   spec.division = sancheck::WorkDivision::kDivideWork;
-  spec.workers = static_cast<std::uint64_t>(blocks) * tpb / dev.warp_size;
-  spec.blocks.push_back({offsets_buf.base, offsets_buf.bytes, 8});
-  spec.blocks.push_back({adj_buf.base, adj_buf.bytes, 4});
+  spec.workers = shape.warps();
+  spec.blocks.push_back({csr.offsets.base, csr.offsets.bytes, 8});
+  spec.blocks.push_back({csr.adj.base, csr.adj.bytes, 4});
   // Offset reads: the kernel touches words u * 8 and v * 8 for oriented
   // edge endpoints, all < n.  Neighbour reads (including the trailing-lane
   // clamp) stay below the CSR length.

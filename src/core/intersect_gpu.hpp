@@ -16,34 +16,20 @@
 
 #include <cstdint>
 
+#include "core/launch.hpp"
 #include "graph/graph.hpp"
 #include "gpusim/device.hpp"
-#include "gpusim/executor.hpp"
 #include "gpusim/report.hpp"
-#include "obs/obs.hpp"
 #include "sancheck/footprint.hpp"
-#include "sancheck/sancheck.hpp"
 
 namespace lgg::core {
 
-struct GpuIntersectOptions {
+struct GpuIntersectOptions : RunContext {
   const gpusim::DeviceSpec* device = nullptr;  // nullptr -> C1060
   std::uint32_t blocks = 0;                    // 0 = 2 x SM count
   std::uint32_t threads_per_block = 128;
   /// Cap on edges simulated (0 = all); statistics rescale when truncated.
   std::uint64_t max_simulated_edges = 0;
-  /// Host-side simulator execution policy (parallel by default;
-  /// bit-identical to serial).
-  gpusim::ExecPolicy exec;
-  /// Hazard analysis of the launch (sancheck/sancheck.hpp).
-  sancheck::SancheckMode sancheck = sancheck::SancheckMode::kOff;
-  /// Optional fault hook (non-owning) installed on the driver's
-  /// DeviceMemory and Simulator; fired faults surface as
-  /// gpusim::DeviceFault (DESIGN.md §11).
-  gpusim::FaultHook* faults = nullptr;
-  /// Optional observability session: transfer/launch spans plus gpusim
-  /// counters (DESIGN.md §12).
-  obs::Session* obs = nullptr;
 };
 
 struct GpuIntersectResult {

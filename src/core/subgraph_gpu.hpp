@@ -20,17 +20,15 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/launch.hpp"
 #include "graph/graph.hpp"
 #include "gpusim/device.hpp"
-#include "gpusim/executor.hpp"
 #include "gpusim/report.hpp"
-#include "obs/obs.hpp"
 #include "sancheck/footprint.hpp"
-#include "sancheck/sancheck.hpp"
 
 namespace lgg::core {
 
-struct GpuKCountOptions {
+struct GpuKCountOptions : RunContext {
   /// Device to simulate; nullptr selects the paper's C1060.
   const gpusim::DeviceSpec* device = nullptr;
   std::uint32_t blocks = 0;  // 0 = 2 x SM count
@@ -38,18 +36,6 @@ struct GpuKCountOptions {
   /// Cap on candidates simulated (0 = all); statistics rescale, `exact`
   /// clears, as in count_triangles_gpu.
   std::uint64_t max_simulated_tests = 0;
-  /// Host-side simulator execution policy (parallel by default;
-  /// bit-identical to serial).
-  gpusim::ExecPolicy exec;
-  /// Hazard analysis of the launch (sancheck/sancheck.hpp).
-  sancheck::SancheckMode sancheck = sancheck::SancheckMode::kOff;
-  /// Optional fault hook (non-owning) installed on the driver's
-  /// DeviceMemory and Simulator; fired faults surface as
-  /// gpusim::DeviceFault (DESIGN.md §11).
-  gpusim::FaultHook* faults = nullptr;
-  /// Optional observability session: transfer/launch spans plus gpusim
-  /// counters (DESIGN.md §12).
-  obs::Session* obs = nullptr;
 };
 
 struct GpuKCountResult {

@@ -1,8 +1,8 @@
 #include "core/triangle_gpu.hpp"
 
 #include <algorithm>
-#include <optional>
-#include <utility>
+#include <span>
+#include <string>
 
 #include "combi/strategies.hpp"
 #include "gpusim/calibration.hpp"
@@ -142,19 +142,16 @@ class TestCursor {
 
 GpuTriangleResult count_triangles_gpu(const graph::Graph& g,
                                       const GpuTriangleOptions& opts) {
-  const gpusim::DeviceSpec& dev =
-      opts.device ? *opts.device : gpusim::tesla_c1060();
-  const std::uint32_t blocks =
-      opts.blocks ? opts.blocks : 2 * dev.sm_count;
-  const std::uint32_t tpb = opts.threads_per_block;
-  LGG_CHECK(tpb >= dev.warp_size && tpb % dev.warp_size == 0,
-            "threads_per_block must be a positive multiple of the warp size");
+  const LaunchShape shape =
+      launch_shape(opts.device, opts.blocks, opts.threads_per_block);
+  const gpusim::DeviceSpec& dev = shape.dev;
 
   obs::Scope driver(opts.obs, "gpu/triangle", "driver");
   if (driver) {
     driver.arg("layout", gpu_layout_name(opts.layout));
-    driver.arg("blocks", static_cast<std::uint64_t>(blocks));
-    driver.arg("threads_per_block", static_cast<std::uint64_t>(tpb));
+    driver.arg("blocks", static_cast<std::uint64_t>(shape.blocks));
+    driver.arg("threads_per_block",
+               static_cast<std::uint64_t>(shape.threads_per_block));
   }
 
   GpuTriangleResult result;
@@ -179,29 +176,22 @@ GpuTriangleResult count_triangles_gpu(const graph::Graph& g,
   result.device_bytes = layout.total_bytes;
 
   const gpusim::Simulator sim(dev, opts.faults);
-  {
-    obs::Scope span(opts.obs, "transfer/h2d", "transfer");
-    result.transfer = sim.transfer(layout.total_bytes);
-    span.model_s(result.transfer.time_s);
-    if (span) span.arg("bytes", result.transfer.bytes);
-  }
-  obs::record_transfer(opts.obs, result.transfer);
+  result.transfer = stage(opts, sim, layout.total_bytes);
   if (opts.obs != nullptr) {
-    const gpusim::OccupancyResult occ = gpusim::occupancy(dev, {tpb});
+    const gpusim::OccupancyResult occ =
+        gpusim::occupancy(dev, {shape.threads_per_block});
     obs::record_occupancy(opts.obs, occ.occupancy);
   }
 
   if (plan.total_tests == 0) {
-    result.total_time_s = result.preprocessing_s + result.transfer.time_s +
-                          cal::kDispatchOverheadS +
-                          cal::kDeviceInitOverheadS;
-    driver.model_s(cal::kDispatchOverheadS + cal::kDeviceInitOverheadS);
+    result.total_time_s = finish_driver(driver, result.preprocessing_s,
+                                        result.transfer.time_s, 0.0);
     return result;
   }
 
   // Per-thread simulation budget (test sampling for large graphs).
-  const std::uint64_t threads = static_cast<std::uint64_t>(blocks) * tpb;
-  const std::uint64_t warps = threads / dev.warp_size;
+  const std::uint64_t threads = shape.threads();
+  const std::uint64_t warps = shape.warps();
   std::uint64_t budget_per_thread = ~std::uint64_t{0};
   if (opts.max_simulated_tests > 0 &&
       opts.max_simulated_tests < plan.total_tests) {
@@ -295,96 +285,46 @@ GpuTriangleResult count_triangles_gpu(const graph::Graph& g,
     }
   };
 
-  gpusim::KernelConfig config;
-  config.name = std::string("triangles/") + gpu_layout_name(opts.layout);
-  config.blocks = blocks;
-  config.threads_per_block = tpb;
+  // The host stages the whole adjacency layout before the launch, so
+  // every read from it is initialised by definition.
+  result.kernel = launch(
+      opts,
+      {.sim = sim,
+       .mem = mem,
+       .config = {std::string("triangles/") + gpu_layout_name(opts.layout),
+                  shape.blocks, shape.threads_per_block},
+       .staged = layout.per_job ? std::span<const Buffer>(layout.blocks)
+                                : std::span<const Buffer>(&layout.matrix, 1),
+       .prof = opts.prof,
+       .reduce =
+           [&] {
+             // Deterministic reduction: fold per-warp slots in warp order.
+             for (std::uint64_t wid = 0; wid < warps; ++wid) {
+               result.triangles += warp_triangles[wid];
+               result.simulated_tests += warp_simulated[wid];
+             }
+             result.exact = result.simulated_tests == plan.total_tests;
+             return sample_factor(plan.total_tests, result.simulated_tests);
+           },
+       .span_args =
+           [](obs::Scope& span, const gpusim::KernelReport& k) {
+             span.arg("transactions", k.transactions);
+             span.arg("camping_factor", k.camping_factor);
+             span.arg("sample_fraction", k.sample_fraction);
+           }},
+      kernel);
 
-  // Sancheck wiring: the host stages the whole adjacency layout before the
-  // launch, so every read from it is initialised by definition.
-  std::optional<sancheck::TapeAnalyzer> analyzer;
-  if (opts.sancheck != sancheck::SancheckMode::kOff) {
-    sancheck::SancheckConfig sc;
-    sc.mode = opts.sancheck;
-    sc.staged = layout.per_job ? layout.blocks
-                               : std::vector<Buffer>{layout.matrix};
-    analyzer.emplace(std::move(sc), mem);
-  }
-  {
-    obs::Scope span(opts.obs, config.name, "launch");
-    result.kernel = sim.run(kernel, config, 1, opts.exec,
-                            analyzer ? &*analyzer : nullptr, opts.prof);
-
-    // Deterministic reduction: fold per-warp slots in warp order.
-    std::uint64_t triangles = 0;
-    std::uint64_t simulated = 0;
-    for (std::uint64_t wid = 0; wid < warps; ++wid) {
-      triangles += warp_triangles[wid];
-      simulated += warp_simulated[wid];
-    }
-
-    result.simulated_tests = simulated;
-    result.triangles = triangles;
-    result.exact = simulated == plan.total_tests;
-
-    // Rescale traffic/timing when the budget truncated the simulation:
-    // every charge scales linearly with the number of tests, so the cycle
-    // terms and the DRAM histogram scale by the same factor.
-    if (!result.exact && simulated > 0) {
-      const double f = static_cast<double>(plan.total_tests) /
-                       static_cast<double>(simulated);
-      auto scale_u64 = [f](std::uint64_t v) {
-        return static_cast<std::uint64_t>(static_cast<double>(v) * f);
-      };
-      gpusim::KernelReport& k = result.kernel;
-      k.global_slots = scale_u64(k.global_slots);
-      k.transactions = scale_u64(k.transactions);
-      k.bytes = scale_u64(k.bytes);
-      k.shared_slots = scale_u64(k.shared_slots);
-      k.bank_conflict_steps = scale_u64(k.bank_conflict_steps);
-      k.warp_instructions *= f;
-      for (auto& c : k.partition_histogram.count) c = scale_u64(c);
-      k.partition_histogram.total = scale_u64(k.partition_histogram.total);
-      k.camping_factor = k.partition_histogram.camping_factor();
-      k.compute_cycles *= f;
-      k.latency_cycles *= f;
-      k.dram_cycles *= f;
-      const double cycles =
-          std::max({k.compute_cycles, k.latency_cycles, k.dram_cycles});
-      k.kernel_time_s =
-          cycles / (dev.core_clock_ghz * 1e9) + cal::kKernelLaunchOverheadS;
-      k.sample_fraction = 1.0 / f;
-      // Keep the recorded profile matching the caller-visible report.
-      if (opts.prof) opts.prof->rescale_last(f);
-    }
-
-    // Span duration and counters use the FINAL (post-rescale) report so
-    // the exported metrics match the KernelReport the caller sees.
-    span.model_s(result.kernel.kernel_time_s);
-    if (span) {
-      span.arg("transactions", result.kernel.transactions);
-      span.arg("camping_factor", result.kernel.camping_factor);
-      span.arg("sample_fraction", result.kernel.sample_fraction);
-    }
-  }
-  obs::record_kernel(opts.obs, result.kernel);
-
-  result.total_time_s = result.preprocessing_s + result.transfer.time_s +
-                        cal::kDispatchOverheadS + cal::kDeviceInitOverheadS +
-                        result.kernel.kernel_time_s;
-  driver.model_s(cal::kDispatchOverheadS + cal::kDeviceInitOverheadS);
+  result.total_time_s =
+      finish_driver(driver, result.preprocessing_s, result.transfer.time_s,
+                    result.kernel.kernel_time_s);
   return result;
 }
 
 sancheck::FootprintSpec als_footprint_spec(const graph::Graph& g,
                                            const GpuTriangleOptions& opts) {
-  const gpusim::DeviceSpec& dev =
-      opts.device ? *opts.device : gpusim::tesla_c1060();
-  const std::uint32_t blocks =
-      opts.blocks ? opts.blocks : 2 * dev.sm_count;
-  const std::uint32_t tpb = opts.threads_per_block;
-  LGG_CHECK(tpb >= dev.warp_size && tpb % dev.warp_size == 0,
-            "threads_per_block must be a positive multiple of the warp size");
+  const LaunchShape shape =
+      launch_shape(opts.device, opts.blocks, opts.threads_per_block);
+  const gpusim::DeviceSpec& dev = shape.dev;
 
   const AlsPlan plan = build_als_plan(g);
   gpusim::DeviceMemory mem(dev);  // scratch: only the addresses matter
@@ -395,9 +335,7 @@ sancheck::FootprintSpec als_footprint_spec(const graph::Graph& g,
   spec.total_tests = plan.total_tests;
   spec.warp_size = dev.warp_size;
   spec.warp_interleaved = opts.layout != GpuLayout::kNaive;
-  const std::uint64_t threads = static_cast<std::uint64_t>(blocks) * tpb;
-  spec.workers =
-      spec.warp_interleaved ? threads / dev.warp_size : threads;
+  spec.workers = spec.warp_interleaved ? shape.warps() : shape.threads();
 
   if (layout.per_job) {
     spec.blocks.reserve(layout.blocks.size());

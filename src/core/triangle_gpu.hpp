@@ -36,13 +36,11 @@
 #include <cstdint>
 
 #include "core/als_plan.hpp"
+#include "core/launch.hpp"
 #include "graph/graph.hpp"
 #include "gpusim/device.hpp"
-#include "gpusim/executor.hpp"
 #include "gpusim/report.hpp"
-#include "obs/obs.hpp"
 #include "sancheck/footprint.hpp"
-#include "sancheck/sancheck.hpp"
 
 namespace lgg::core {
 
@@ -54,7 +52,7 @@ enum class GpuLayout : int {
 
 [[nodiscard]] const char* gpu_layout_name(GpuLayout layout) noexcept;
 
-struct GpuTriangleOptions {
+struct GpuTriangleOptions : RunContext {
   GpuLayout layout = GpuLayout::kCoalescedAntiCamping;
   /// Device to simulate; nullptr selects the paper's C1060.
   const gpusim::DeviceSpec* device = nullptr;
@@ -64,20 +62,6 @@ struct GpuTriangleOptions {
   /// When the cap truncates, traffic/timing statistics are rescaled by
   /// total/simulated and `exact` is false.
   std::uint64_t max_simulated_tests = 0;
-  /// Host-side execution policy for the simulator (default: parallel
-  /// across host cores; results are bit-identical to serial).
-  gpusim::ExecPolicy exec;
-  /// Hazard analysis of the launch (sancheck/sancheck.hpp): kReport
-  /// attaches a HazardReport to `kernel.hazards`, kStrict throws
-  /// lgg::Error on the first hazard.
-  sancheck::SancheckMode sancheck = sancheck::SancheckMode::kOff;
-  /// Optional fault hook (non-owning) installed on the driver's
-  /// DeviceMemory and Simulator; fired faults surface as
-  /// gpusim::DeviceFault (DESIGN.md §11).
-  gpusim::FaultHook* faults = nullptr;
-  /// Optional observability session (non-owning): plan/transfer/launch
-  /// spans on the modelled timeline plus gpusim counters (DESIGN.md §12).
-  obs::Session* obs = nullptr;
   /// Optional profiler hook (non-owning): every launch deposits modelled
   /// hardware counters, rescaled alongside the KernelReport when the
   /// test-sampling cap truncates (DESIGN.md §17).

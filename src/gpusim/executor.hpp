@@ -289,9 +289,9 @@ class ProfilerHook {
   virtual void on_launch(const KernelConfig& config, const DeviceSpec& dev,
                          const LaunchCounters& counters,
                          const KernelReport& report) = 0;
-  /// Drivers that rescale the returned KernelReport after the launch
-  /// (test sampling, chunk truncation) call this with the same factor so
-  /// the recorded profile keeps matching the caller-visible report.
+  /// core::launch, which rescales a sampled launch's KernelReport
+  /// (KernelReport::rescale), calls this with the same factor so the
+  /// recorded profile keeps matching the caller-visible report.
   virtual void rescale_last(double factor) = 0;
 };
 

@@ -42,6 +42,7 @@
 #include "core/hybrid.hpp"           // IWYU pragma: export
 #include "core/intersect_gpu.hpp"    // IWYU pragma: export
 #include "core/kcount.hpp"           // IWYU pragma: export
+#include "core/launch.hpp"           // IWYU pragma: export
 #include "core/social.hpp"           // IWYU pragma: export
 #include "core/subgraph_gpu.hpp"     // IWYU pragma: export
 #include "core/timing_model.hpp"     // IWYU pragma: export

@@ -91,7 +91,7 @@ void Profiler::rescale_last(double factor) {
   const auto scale_u64 = [factor](std::uint64_t v) {
     return static_cast<std::uint64_t>(static_cast<double>(v) * factor);
   };
-  // Scale the totals the way the drivers scale the KernelReport, then
+  // Scale the totals the way KernelReport::rescale does, then
   // re-derive each complement from its total — scaling both halves
   // independently would break the coalesced + uncoalesced == total
   // invariant by a rounding unit.
@@ -110,7 +110,7 @@ void Profiler::rescale_last(double factor) {
   p.divergent_warps = scale_u64(p.divergent_warps);
   p.warp_instructions *= factor;
 
-  // The same histogram transformation as the drivers: scale the counts
+  // The histogram transformation of KernelReport::rescale: scale the counts
   // and the total independently, then re-derive the step/factor metrics.
   gpusim::PartitionHistogram hist;
   hist.count = p.partition_pressure;

@@ -43,10 +43,10 @@ class Profiler final : public gpusim::ProfilerHook {
                  const gpusim::LaunchCounters& counters,
                  const gpusim::KernelReport& report) override;
 
-  /// Mirror of the drivers' post-launch KernelReport rescale (triangle
-  /// test-sampling, hybrid chunk truncation): scales the last recorded
-  /// profile by `factor` with the same transformation, so the profile
-  /// keeps matching the caller-visible report.  No-op for factor <= 1.
+  /// Mirror of KernelReport::rescale, called with the same factor from
+  /// its one site, core::launch (test sampling, chunk truncation): scales
+  /// the last recorded profile so it keeps matching the caller-visible
+  /// report.  No-op for factor <= 1.
   void rescale_last(double factor) override;
 
   [[nodiscard]] const std::vector<KernelProfile>& profiles() const noexcept {

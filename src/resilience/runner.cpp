@@ -140,11 +140,8 @@ LostRecount recount_lost_tests(const graph::Graph& g,
 /// run.
 RunnerReport run_impl(const graph::Graph& g, const RunnerOptions& opts,
                       const Checkpoint* ck) {
-  const gpusim::DeviceSpec& dev =
-      opts.device ? *opts.device : gpusim::tesla_c1060();
   const std::uint32_t tpb = opts.threads_per_block;
-  LGG_CHECK(tpb >= dev.warp_size && tpb % dev.warp_size == 0,
-            "threads_per_block must be a positive multiple of the warp size");
+  const gpusim::DeviceSpec& dev = core::launch_shape(opts.device, 1, tpb).dev;
 
   // A resumed run's tracer snapshot already holds the open driver frame
   // and the plan/retry-policy spans, so those are cold-run only (their
@@ -689,8 +686,7 @@ RunnerReport resume_resilient(const graph::Graph& g,
                               const RunnerOptions& opts) {
   LGG_CHECK(!opts.checkpoint_path.empty(),
             "resume_resilient requires RunnerOptions::checkpoint_path");
-  const gpusim::DeviceSpec& dev =
-      opts.device ? *opts.device : gpusim::tesla_c1060();
+  const gpusim::DeviceSpec& dev = core::device_or_default(opts.device);
   const Checkpoint ck = load_checkpoint(opts.checkpoint_path);
   const std::uint64_t gd = graph::graph_digest(g);
   if (ck.graph_digest != gd)

@@ -33,11 +33,13 @@
 #include <sys/stat.h>
 #include <sys/wait.h>
 
+#include "flags.hpp"
 #include "lgg.hpp"
 
 namespace {
 
 using namespace lgg;
+using namespace lgg::tools;
 
 [[noreturn]] void usage(const char* message = nullptr) {
   if (message) std::cerr << "error: " << message << "\n\n";
@@ -71,69 +73,35 @@ struct Config {
   std::uint32_t worker_kill = 0;  // 0: run to completion
 };
 
-bool take_value(std::vector<std::string>& args, const std::string& flag,
-                std::string& value) {
-  const std::string joined = flag + "=";
-  for (auto it = args.begin(); it != args.end(); ++it) {
-    if (*it == flag) {
-      if (it + 1 == args.end()) usage(("missing value for " + flag).c_str());
-      value = *(it + 1);
-      args.erase(it, it + 2);
-      return true;
-    }
-    if (it->compare(0, joined.size(), joined) == 0) {
-      value = it->substr(joined.size());
-      args.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
-
-bool take_flag(std::vector<std::string>& args, const std::string& flag) {
-  for (auto it = args.begin(); it != args.end(); ++it) {
-    if (*it == flag) {
-      args.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
-
 Config parse_config(std::vector<std::string>& args) {
   Config c;
   std::string value;
-  if (take_value(args, "--gnm", value)) {
+  if (take_value(args, "--gnm", value, usage)) {
     // --gnm takes three following positionals when given as "--gnm N M S";
     // accept "--gnm=N,M,S" too.
     std::replace(value.begin(), value.end(), ',', ' ');
     std::istringstream is(value);
     if (!(is >> c.n >> c.m >> c.seed)) usage("--gnm needs N M SEED");
   }
-  if (take_value(args, "--faults", value)) {
-    const std::size_t comma = value.find(',');
-    c.fault_rate = std::strtod(value.c_str(), nullptr);
-    if (comma != std::string::npos)
-      c.fault_seed = std::strtoull(value.c_str() + comma + 1, nullptr, 10);
-    if (c.fault_rate < 0.0 || c.fault_rate > 1.0)
-      usage("--faults rate must be in [0, 1]");
-  }
-  if (take_value(args, "--kill-after", value))
+  if (take_faults(args, c.fault_rate, c.fault_seed, usage) &&
+      (c.fault_rate < 0.0 || c.fault_rate > 1.0))
+    usage("--faults rate must be in [0, 1]");
+  if (take_value(args, "--kill-after", value, usage))
     c.kill_after = static_cast<std::uint32_t>(
         std::strtoul(value.c_str(), nullptr, 10));
-  if (take_value(args, "--every", value))
+  if (take_value(args, "--every", value, usage))
     c.every =
         static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
-  if (take_value(args, "--threads", value))
+  if (take_value(args, "--threads", value, usage))
     c.threads = std::strtoull(value.c_str(), nullptr, 10);
-  if (take_value(args, "--shared-mem", value))
+  if (take_value(args, "--shared-mem", value, usage))
     c.shared_mem = static_cast<std::uint32_t>(
         std::strtoul(value.c_str(), nullptr, 10));
-  take_value(args, "--dir", c.dir);
-  take_value(args, "--ckpt", c.ckpt);
-  take_value(args, "--out", c.out);
+  take_value(args, "--dir", c.dir, usage);
+  take_value(args, "--ckpt", c.ckpt, usage);
+  take_value(args, "--out", c.out, usage);
   c.resume = take_flag(args, "--resume");
-  if (take_value(args, "--worker-kill", value))
+  if (take_value(args, "--worker-kill", value, usage))
     c.worker_kill = static_cast<std::uint32_t>(
         std::strtoul(value.c_str(), nullptr, 10));
   if (!args.empty()) usage(("unknown option: " + args[0]).c_str());

@@ -17,11 +17,13 @@
 #include <string>
 #include <vector>
 
+#include "flags.hpp"
 #include "lgg.hpp"
 
 namespace {
 
 using namespace lgg;
+using namespace lgg::tools;
 
 [[noreturn]] void usage(const char* message = nullptr) {
   if (message) std::cerr << "error: " << message << "\n\n";
@@ -40,50 +42,11 @@ using namespace lgg;
   std::exit(2);
 }
 
-/// Pop "--flag value" / "--flag" style options from args; returns true
-/// and erases when found.
-bool take_flag(std::vector<std::string>& args, const std::string& flag) {
-  for (auto it = args.begin(); it != args.end(); ++it) {
-    if (*it == flag) {
-      args.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Accepts both "--flag value" and "--flag=value".
-bool take_value(std::vector<std::string>& args, const std::string& flag,
-                std::string& value) {
-  const std::string joined = flag + "=";
-  for (auto it = args.begin(); it != args.end(); ++it) {
-    if (*it == flag) {
-      if (it + 1 == args.end()) usage(("missing value for " + flag).c_str());
-      value = *(it + 1);
-      args.erase(it, it + 2);
-      return true;
-    }
-    if (it->compare(0, joined.size(), joined) == 0) {
-      value = it->substr(joined.size());
-      args.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
-
 resilience::Failover parse_failover(const std::string& v) {
   if (v == "cpu") return resilience::Failover::kCpu;
   if (v == "stream") return resilience::Failover::kStream;
   if (v == "off") return resilience::Failover::kOff;
   usage(("unknown failover mode: " + v).c_str());
-}
-
-std::uint64_t take_u64(std::vector<std::string>& args, const std::string& flag,
-                       std::uint64_t fallback) {
-  std::string v;
-  return take_value(args, flag, v) ? std::strtoull(v.c_str(), nullptr, 10)
-                                   : fallback;
 }
 
 /// Replay one repro through the full cross-product; prints findings.
@@ -144,20 +107,20 @@ struct ReplayObs {
   void extract(std::vector<std::string>& args, fuzz::EngineOptions& opts) {
     bool enabled = false;
     std::string v;
-    if (take_value(args, "--trace", v)) {
+    if (take_value(args, "--trace", v, usage)) {
       trace_path = v;
       enabled = true;
     }
-    if (take_value(args, "--trace-tree", v)) {
+    if (take_value(args, "--trace-tree", v, usage)) {
       tree_path = v;
       enabled = true;
     }
-    if (take_value(args, "--metrics", v)) {
+    if (take_value(args, "--metrics", v, usage)) {
       metrics_path = v;
       enabled = true;
     }
     std::string threads;
-    if (take_value(args, "--threads", threads)) {
+    if (take_value(args, "--threads", threads, usage)) {
       const auto n = std::strtoull(threads.c_str(), nullptr, 10);
       opts.policies = {gpusim::ExecPolicy::serial(),
                        gpusim::ExecPolicy::parallel(
@@ -183,41 +146,33 @@ struct ReplayObs {
 
 int cmd_campaign(std::vector<std::string> args) {
   fuzz::EngineOptions opts;
-  opts.master_seed = take_u64(args, "--seed", 1);
-  opts.max_iterations = take_u64(args, "--iterations", 500);
-  opts.max_findings = take_u64(args, "--max-findings", 16);
-  opts.limits.max_vertices = take_u64(args, "--max-vertices", 72);
+  opts.master_seed = take_u64(args, "--seed", 1, usage);
+  opts.max_iterations = take_u64(args, "--iterations", 500, usage);
+  opts.max_findings = take_u64(args, "--max-findings", 16, usage);
+  opts.limits.max_vertices = take_u64(args, "--max-vertices", 72, usage);
   std::string seconds;
-  if (take_value(args, "--seconds", seconds))
+  if (take_value(args, "--seconds", seconds, usage))
     opts.time_budget_s = std::strtod(seconds.c_str(), nullptr);
   std::string corpus;
-  if (take_value(args, "--corpus", corpus)) opts.corpus_dir = corpus;
+  if (take_value(args, "--corpus", corpus, usage)) opts.corpus_dir = corpus;
   if (take_flag(args, "--no-shrink")) opts.shrink = false;
   std::string threads;
   if (take_flag(args, "--serial-only")) {
     opts.policies = {gpusim::ExecPolicy::serial()};
-  } else if (take_value(args, "--threads", threads)) {
+  } else if (take_value(args, "--threads", threads, usage)) {
     opts.policies = {gpusim::ExecPolicy::serial(),
                      gpusim::ExecPolicy::parallel(
                          std::strtoull(threads.c_str(), nullptr, 10))};
   }
-  std::string faults;
-  if (take_value(args, "--faults", faults)) {
-    // RATE or RATE,SEED — e.g. --faults=0.1,7
-    const auto comma = faults.find(',');
-    opts.fault_rate = std::strtod(faults.substr(0, comma).c_str(), nullptr);
-    if (comma != std::string::npos)
-      opts.fault_seed =
-          std::strtoull(faults.c_str() + comma + 1, nullptr, 10);
-  }
+  take_faults(args, opts.fault_rate, opts.fault_seed, usage);
   opts.fault_max_retries = static_cast<std::uint32_t>(
-      take_u64(args, "--max-retries", opts.fault_max_retries));
+      take_u64(args, "--max-retries", opts.fault_max_retries, usage));
   std::string failover;
-  if (take_value(args, "--failover", failover))
+  if (take_value(args, "--failover", failover, usage))
     opts.fault_failover = parse_failover(failover);
   std::string trace_dir;
   obs::Session session;
-  if (take_value(args, "--trace-dir", trace_dir)) opts.obs = &session;
+  if (take_value(args, "--trace-dir", trace_dir, usage)) opts.obs = &session;
   if (!args.empty()) usage(("unknown campaign option: " + args[0]).c_str());
 
   // Stream everything: log lines and repro paths print as they happen, and

@@ -19,11 +19,13 @@
 #include <string>
 #include <vector>
 
+#include "flags.hpp"
 #include "lgg.hpp"
 
 namespace {
 
 using namespace lgg;
+using namespace lgg::tools;
 
 [[noreturn]] void usage(const char* message = nullptr) {
   if (message) std::cerr << "error: " << message << "\n\n";
@@ -34,25 +36,6 @@ using namespace lgg;
       "exit 0 when every sample matches within atol + rtol*max(|a|,|b|),\n"
       "1 on any difference (each printed to stdout), 2 on usage/IO error\n";
   std::exit(2);
-}
-
-bool take_value(std::vector<std::string>& args, const std::string& flag,
-                std::string& value) {
-  const std::string joined = flag + "=";
-  for (auto it = args.begin(); it != args.end(); ++it) {
-    if (*it == flag) {
-      if (it + 1 == args.end()) usage(("missing value for " + flag).c_str());
-      value = *(it + 1);
-      args.erase(it, it + 2);
-      return true;
-    }
-    if (it->compare(0, joined.size(), joined) == 0) {
-      value = it->substr(joined.size());
-      args.erase(it);
-      return true;
-    }
-  }
-  return false;
 }
 
 std::string read_or_die(const std::string& path) {
@@ -69,11 +52,12 @@ std::string read_or_die(const std::string& path) {
 int cmd_diff(std::vector<std::string> args) {
   prof::DiffOptions opts;
   std::string value;
-  if (take_value(args, "--rtol", value))
+  if (take_value(args, "--rtol", value, usage))
     opts.rtol = std::strtod(value.c_str(), nullptr);
-  if (take_value(args, "--atol", value))
+  if (take_value(args, "--atol", value, usage))
     opts.atol = std::strtod(value.c_str(), nullptr);
-  while (take_value(args, "--ignore", value)) opts.ignore.push_back(value);
+  while (take_value(args, "--ignore", value, usage))
+    opts.ignore.push_back(value);
   if (args.size() != 2) usage("diff needs exactly two profile files");
 
   const std::string a = read_or_die(args[0]);
