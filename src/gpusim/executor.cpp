@@ -421,17 +421,7 @@ KernelReport Simulator::run(const KernelFn& kernel, const KernelConfig& config,
   }
   report.compute_cycles = max_sm_compute;
   report.latency_cycles = max_sm_latency;
-
-  const std::uint64_t dram_steps =
-      dev.has_cached_global() ? report.partition_histogram.ideal_steps()
-                              : report.partition_histogram.serialized_steps();
-  report.dram_cycles =
-      static_cast<double>(dram_steps) * cal::kTransactionServiceCycles;
-
-  const double cycles = std::max(
-      {report.compute_cycles, report.latency_cycles, report.dram_cycles});
-  report.kernel_time_s =
-      cycles / (dev.core_clock_ghz * 1e9) + cal::kKernelLaunchOverheadS;
+  report.price_dram(dev);
 
   if (profiling) {
     counters.memory_replays =
