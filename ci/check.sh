@@ -21,10 +21,10 @@ step() { printf '\n=== %s ===\n' "$*"; }
 
 step "core: one launch path"
 # core::launch (src/core/launch.cpp) is the only place in src/core that
-# runs the simulator, builds the sancheck analyzer, records kernel
-# counters or rescales a profile; a driver that wires its own copy fails
-# here.
-if grep -nE 'TapeAnalyzer|record_kernel\(|rescale_last\(|sim[A-Za-z_]*\.run\(|\.run\(kernel' src/core/* \
+# runs the simulator, builds the sancheck analyzer, rescales a sampled
+# report, hands a launch to the profiler or records kernel counters; a
+# driver that wires its own copy fails here.
+if grep -nE 'TapeAnalyzer|record_kernel\(|on_launch\(|\.rescale\(|sim[A-Za-z_]*\.run\(|\.run\(kernel' src/core/* \
       | grep -v '^src/core/launch\.cpp:'; then
   echo "launch plumbing outside src/core/launch.cpp: use core::launch" >&2
   exit 1

@@ -28,6 +28,20 @@ const char* scheduler_name(SchedulerKind kind) noexcept {
   return "?";
 }
 
+sched::Assignment schedule_chunks(SchedulerKind kind,
+                                  const std::vector<std::uint64_t>& jobs,
+                                  std::uint32_t machines) {
+  switch (kind) {
+    case SchedulerKind::kList:
+      return sched::list_schedule(jobs, machines);
+    case SchedulerKind::kLpt:
+      return sched::lpt_schedule(jobs, machines);
+    case SchedulerKind::kMultifit:
+      return sched::multifit_schedule(jobs, machines);
+  }
+  return {};
+}
+
 ChunkWork build_chunk_work(const graph::Chunk& chunk,
                            const graph::LevelDecomposition& levels) {
   ChunkWork work;
@@ -454,17 +468,8 @@ HybridResult count_triangles_hybrid(const graph::Graph& g,
                         std::string("schedule/") +
                             scheduler_name(opts.scheduler),
                         "schedule");
-  switch (opts.scheduler) {
-    case SchedulerKind::kList:
-      result.schedule = sched::list_schedule(job_times_ns, dev.sm_count);
-      break;
-    case SchedulerKind::kLpt:
-      result.schedule = sched::lpt_schedule(job_times_ns, dev.sm_count);
-      break;
-    case SchedulerKind::kMultifit:
-      result.schedule = sched::multifit_schedule(job_times_ns, dev.sm_count);
-      break;
-  }
+  result.schedule =
+      schedule_chunks(opts.scheduler, job_times_ns, dev.sm_count);
   for (std::size_t ci = 0; ci < result.chunks.size(); ++ci)
     result.chunks[ci].sm = result.schedule.machine_of[ci];
   result.makespan_s = static_cast<double>(result.schedule.makespan) * 1e-9;

@@ -32,6 +32,12 @@ enum class SchedulerKind : int { kList = 0, kLpt = 1, kMultifit = 2 };
 
 [[nodiscard]] const char* scheduler_name(SchedulerKind kind) noexcept;
 
+/// Schedule chunk jobs (modelled ns) onto `machines` identical SMs with
+/// the Section VI heuristic `kind` names.
+[[nodiscard]] sched::Assignment schedule_chunks(
+    SchedulerKind kind, const std::vector<std::uint64_t>& jobs,
+    std::uint32_t machines);
+
 struct AlsPrecomputed;
 
 /// A fired `faults` hook (RunContext) makes chunk allocations and launches

@@ -63,14 +63,18 @@ gpusim::KernelReport launch(const RunContext& ctx, const LaunchSpec& spec,
   gpusim::KernelReport report;
   {
     obs::Scope span(ctx.obs, spec.config.name, "launch");
-    report = spec.sim.run(kernel, spec.config, 1, ctx.exec,
-                          analyzer ? &*analyzer : nullptr, spec.prof);
-    const double factor = spec.reduce ? spec.reduce() : 1.0;
-    report.rescale(factor, spec.sim.spec());
-    if (spec.prof != nullptr && factor > 1.0) spec.prof->rescale_last(factor);
+    gpusim::LaunchCounters counters;
+    report = spec.sim.run(kernel, spec.config, ctx.exec,
+                          analyzer ? &*analyzer : nullptr, &counters);
+    report.rescale(spec.reduce ? spec.reduce() : 1.0, spec.sim.spec(),
+                   &counters);
 
-    // Span duration and counters use the FINAL (post-rescale) report so
-    // the exported metrics match the KernelReport the caller sees.
+    // The profile, span duration and counters all see the FINAL
+    // (post-rescale) report, so every export matches the KernelReport the
+    // caller sees.  The profiler runs before the span is charged: its
+    // timestamp is the launch start.
+    if (spec.prof != nullptr)
+      spec.prof->on_launch(spec.config, spec.sim.spec(), counters, report);
     span.model_s(report.kernel_time_s);
     if (span) {
       if (spec.span_args)

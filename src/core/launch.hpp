@@ -1,8 +1,8 @@
 // The one launch path of the simulated GPU drivers (triangle, intersect,
 // subgraph, bfs, hybrid): the options every driver shares, launch-shape
 // resolution, host->device staging, and core::launch — which owns the
-// sancheck analyzer, the launch span, the sampled-report rescale of the
-// KernelReport and the profiler, and the gpusim counters.
+// sancheck analyzer, the launch span, the sampled-report rescale, the
+// profiler hand-off and the gpusim counters.
 #pragma once
 
 #include <cstdint>
@@ -86,7 +86,7 @@ struct LaunchSpec {
   /// Buffers the host staged before the launch: sancheck treats every
   /// read from them as initialised.
   std::span<const gpusim::Buffer> staged{};
-  /// Optional profiler (non-owning); rescaled together with the report.
+  /// Optional profiler (non-owning); receives the final, rescaled launch.
   gpusim::ProfilerHook* prof = nullptr;
   /// Folds the driver's per-warp output slots after the replay and
   /// returns the sample factor total / simulated work (1 when exact or
@@ -98,9 +98,10 @@ struct LaunchSpec {
 
 /// Run one simulated launch: builds the sancheck analyzer over
 /// `spec.staged` when sancheck is on, replays `kernel` under a "launch" span, runs
-/// `spec.reduce`, rescales the report and the profiler by its factor
-/// (KernelReport::rescale; no-op for factor <= 1), sets the span duration
-/// and args from the final report, and records the gpusim counters.
+/// `spec.reduce`, rescales the report and its LaunchCounters by its factor
+/// (KernelReport::rescale; no-op for factor <= 1), hands both to the
+/// profiler, sets the span duration and args from the final report, and
+/// records the gpusim counters.
 /// Device faults propagate with the span closed and nothing recorded.
 gpusim::KernelReport launch(const RunContext& ctx, const LaunchSpec& spec,
                             const gpusim::KernelFn& kernel);

@@ -32,10 +32,9 @@ struct ShardState {
   std::uint64_t transactions = 0;
   std::uint64_t bytes = 0;
   std::uint64_t shared_slots = 0;
-  std::uint64_t sampled_warps = 0;
   // Profiler counters (see LaunchCounters); accumulated unconditionally —
   // a few integer adds per slot — so the replay path is identical whether
-  // or not a ProfilerHook is attached.
+  // or not the caller asks for them.
   std::uint64_t coalesced_slots = 0;
   std::uint64_t uncoalesced_slots = 0;
   std::uint64_t coalesced_transactions = 0;
@@ -66,16 +65,14 @@ struct WorkerScratch {
 }  // namespace
 
 KernelReport Simulator::run(const KernelFn& kernel, const KernelConfig& config,
-                            std::uint32_t sample_stride,
                             const ExecPolicy& policy,
                             const LaunchInspector* inspector,
-                            ProfilerHook* profiler) const {
+                            LaunchCounters* counters) const {
   LGG_CHECK(config.blocks > 0 && config.threads_per_block > 0,
             "Simulator::run: empty launch configuration");
   LGG_CHECK(config.threads_per_block <= 1024,
             "Simulator::run: threads_per_block " << config.threads_per_block
                                                  << " exceeds 1024");
-  LGG_CHECK(sample_stride >= 1, "Simulator::run: sample_stride must be >= 1");
   LGG_CHECK(spec_->warp_size >= 1 && spec_->warp_size <= kMaxSlotTransactions,
             "Simulator::run: warp size " << spec_->warp_size
                                          << " outside [1, 32]");
@@ -96,7 +93,6 @@ KernelReport Simulator::run(const KernelFn& kernel, const KernelConfig& config,
   report.blocks = config.blocks;
   report.threads_per_block = config.threads_per_block;
   report.warps = total_warps;
-  report.sample_fraction = 1.0 / sample_stride;
   report.partition_histogram.count.assign(dev.partitions, 0);
 
   const PartitionModel partition_model(dev);
@@ -144,9 +140,7 @@ KernelReport Simulator::run(const KernelFn& kernel, const KernelConfig& config,
     ShardState& sh = shards[sm];
     sh.hist.count.assign(dev.partitions, 0);
     auto& lanes = scratch.lanes;
-    // An aborted SM dies after visiting half its warps (in program order,
-    // counted before the sampling decision so serial and sampled runs die
-    // at the same point in the warp stream).
+    // An aborted SM dies after visiting half its warps (in program order).
     std::uint64_t warp_budget = ~std::uint64_t{0};
     if (aborted[sm] != 0) warp_budget = shard_warp_count[sm] / 2;
     std::uint64_t warps_visited = 0;
@@ -155,12 +149,8 @@ KernelReport Simulator::run(const KernelFn& kernel, const KernelConfig& config,
       for (std::uint32_t w = 0; w < warps_per_block; ++w) {
         if (warps_visited == warp_budget) return;
         ++warps_visited;
-        // Global warp index in serial iteration order: the sampling
-        // decision is identical to a single-threaded sweep.
         const std::uint64_t warp_index =
             static_cast<std::uint64_t>(block) * warps_per_block + w;
-        if (warp_index % sample_stride != 0) continue;
-        ++sh.sampled_warps;
         ++sh.sm.warps;
 
         // Run the warp's lanes, collecting tapes.
@@ -290,14 +280,12 @@ KernelReport Simulator::run(const KernelFn& kernel, const KernelConfig& config,
 
   // Merge shards in fixed SM order (integer sums are order-free; the FP
   // compute sums never cross shards, so this order fixes everything else).
-  const bool profiling = profiler != nullptr;
-  LaunchCounters counters;
-  if (profiling) counters.sms.assign(dev.sm_count, SmCounters{});
-  std::uint64_t sampled_warps = 0;
-  std::vector<SmAccumulator> sms(dev.sm_count);
+  if (counters != nullptr) {
+    *counters = LaunchCounters{};
+    counters->sms.assign(dev.sm_count, SmCounters{});
+  }
   for (std::uint32_t sm = 0; sm < dev.sm_count; ++sm) {
     const ShardState& sh = shards[sm];
-    sms[sm] = sh.sm;
     report.transactions += sh.transactions;
     report.bytes += sh.bytes;
     report.global_slots += sh.sm.global_slots;
@@ -305,73 +293,21 @@ KernelReport Simulator::run(const KernelFn& kernel, const KernelConfig& config,
     report.bank_conflict_steps += sh.sm.bank_conflict_steps;
     report.warp_instructions += sh.sm.warp_instructions;
     report.partition_histogram.merge(sh.hist);
-    sampled_warps += sh.sampled_warps;
-    if (profiling) {
-      counters.coalesced_slots += sh.coalesced_slots;
-      counters.uncoalesced_slots += sh.uncoalesced_slots;
-      counters.coalesced_transactions += sh.coalesced_transactions;
-      counters.uncoalesced_transactions += sh.uncoalesced_transactions;
-      counters.ideal_transactions += sh.ideal_transactions;
-      counters.shared_accesses += sh.shared_accesses;
-      counters.divergent_warps += sh.divergent_warps;
-      SmCounters& c = counters.sms[sm];
+    if (counters != nullptr) {
+      counters->coalesced_slots += sh.coalesced_slots;
+      counters->uncoalesced_slots += sh.uncoalesced_slots;
+      counters->coalesced_transactions += sh.coalesced_transactions;
+      counters->uncoalesced_transactions += sh.uncoalesced_transactions;
+      counters->ideal_transactions += sh.ideal_transactions;
+      counters->shared_accesses += sh.shared_accesses;
+      counters->divergent_warps += sh.divergent_warps;
+      SmCounters& c = counters->sms[sm];
       c.sm = sm;
       c.warps = sh.sm.warps;
       c.global_slots = sh.sm.global_slots;
       c.transactions = sh.transactions;
       c.warp_instructions = sh.sm.warp_instructions;
       c.bank_conflict_steps = sh.sm.bank_conflict_steps;
-    }
-  }
-  LGG_ASSERT(sampled_warps > 0);
-
-  // Scale sampled statistics back to the full launch.
-  const double scale = static_cast<double>(sample_stride);
-  if (sample_stride > 1) {
-    report.transactions = static_cast<std::uint64_t>(
-        static_cast<double>(report.transactions) * scale);
-    report.bytes =
-        static_cast<std::uint64_t>(static_cast<double>(report.bytes) * scale);
-    report.global_slots = static_cast<std::uint64_t>(
-        static_cast<double>(report.global_slots) * scale);
-    report.shared_slots = static_cast<std::uint64_t>(
-        static_cast<double>(report.shared_slots) * scale);
-    report.bank_conflict_steps = static_cast<std::uint64_t>(
-        static_cast<double>(report.bank_conflict_steps) * scale);
-    report.warp_instructions *= scale;
-    for (auto& c : report.partition_histogram.count)
-      c = static_cast<std::uint64_t>(static_cast<double>(c) * scale);
-    report.partition_histogram.total = static_cast<std::uint64_t>(
-        static_cast<double>(report.partition_histogram.total) * scale);
-    for (auto& sm : sms) {
-      sm.warp_instructions *= scale;
-      sm.bank_conflict_steps = static_cast<std::uint64_t>(
-          static_cast<double>(sm.bank_conflict_steps) * scale);
-      sm.global_slots = static_cast<std::uint64_t>(
-          static_cast<double>(sm.global_slots) * scale);
-      sm.warps = static_cast<std::uint64_t>(
-          static_cast<double>(sm.warps) * scale);
-    }
-    if (profiling) {
-      const auto scaled = [scale](std::uint64_t v) {
-        return static_cast<std::uint64_t>(static_cast<double>(v) * scale);
-      };
-      counters.coalesced_slots = scaled(counters.coalesced_slots);
-      counters.uncoalesced_slots = scaled(counters.uncoalesced_slots);
-      counters.coalesced_transactions =
-          scaled(counters.coalesced_transactions);
-      counters.uncoalesced_transactions =
-          scaled(counters.uncoalesced_transactions);
-      counters.ideal_transactions = scaled(counters.ideal_transactions);
-      counters.shared_accesses = scaled(counters.shared_accesses);
-      counters.divergent_warps = scaled(counters.divergent_warps);
-      for (auto& c : counters.sms) {
-        c.warps = scaled(c.warps);
-        c.global_slots = scaled(c.global_slots);
-        c.transactions = scaled(c.transactions);
-        c.warp_instructions *= scale;
-        c.bank_conflict_steps = scaled(c.bank_conflict_steps);
-      }
     }
   }
   report.camping_factor = report.partition_histogram.camping_factor();
@@ -400,7 +336,7 @@ KernelReport Simulator::run(const KernelFn& kernel, const KernelConfig& config,
   namespace cal = calibration;
   double max_sm_compute = 0.0, max_sm_latency = 0.0;
   for (std::uint32_t i = 0; i < dev.sm_count; ++i) {
-    const auto& sm = sms[i];
+    const SmAccumulator& sm = shards[i].sm;
     if (sm.warps == 0) continue;
     const double compute =
         (sm.warp_instructions + static_cast<double>(sm.bank_conflict_steps)) *
@@ -412,8 +348,8 @@ KernelReport Simulator::run(const KernelFn& kernel, const KernelConfig& config,
                            resident;
     max_sm_compute = std::max(max_sm_compute, compute);
     max_sm_latency = std::max(max_sm_latency, latency);
-    if (profiling) {
-      SmCounters& c = counters.sms[i];
+    if (counters != nullptr) {
+      SmCounters& c = counters->sms[i];
       c.compute_cycles = compute;
       c.latency_cycles = latency;
       c.busy_cycles = std::max(compute, latency);
@@ -423,15 +359,7 @@ KernelReport Simulator::run(const KernelFn& kernel, const KernelConfig& config,
   report.latency_cycles = max_sm_latency;
   report.price_dram(dev);
 
-  if (profiling) {
-    counters.memory_replays =
-        report.transactions -
-        std::min(counters.ideal_transactions, report.transactions);
-    counters.shared_replays =
-        report.bank_conflict_steps -
-        std::min(counters.shared_accesses, report.bank_conflict_steps);
-    profiler->on_launch(config, dev, counters, report);
-  }
+  if (counters != nullptr) counters->derive_replays(report);
   return report;
 }
 

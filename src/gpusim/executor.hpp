@@ -24,11 +24,9 @@
 //                   camping neutralised by the cache — paper Section X)
 //   kernel  = max(max_sm sm_time, dram) / clock + launch overhead
 //
-// Sampling: run(..., sample_stride = k) simulates every k-th warp fully
-// and scales all aggregate statistics by k.  Timing keeps the same model;
-// the triangle-count style *functional* result of skipped warps is NOT
-// produced, so sampled runs are for timing studies only (the benches pair
-// them with an exact host-side count).
+// run() always simulates every warp.  Drivers sample by truncating the
+// work their kernel does and scaling the finished report with
+// KernelReport::rescale (core::launch).
 //
 // Host-side parallel execution (DESIGN.md §8)
 // -------------------------------------------
@@ -36,10 +34,10 @@
 // launch across host threads: shard s owns every block mapped to SM s and
 // replays its warps in increasing warp order into private accumulators.
 // Shards are merged in fixed SM order, so the returned KernelReport is
-// bit-identical regardless of host thread count (including serial and
-// including sample_stride > 1): the shard decomposition — and therefore
-// every floating-point summation order — depends only on the launch
-// configuration, never on the worker count.
+// bit-identical regardless of host thread count (including serial): the
+// shard decomposition — and therefore every floating-point summation
+// order — depends only on the launch configuration, never on the worker
+// count.
 //
 // Thread-safety contract for kernels: run() may invoke the kernel
 // concurrently from multiple host threads, one warp at a time per thread
@@ -230,69 +228,17 @@ class LaunchInspector {
                        KernelReport& report) const = 0;
 };
 
-/// Per-SM row of the profiler counter harvest, in fixed SM order.  The
-/// busy-cycle columns are the executor's own timing terms, exposed per SM
-/// so a profiler can draw the occupancy timeline on the modelled clock.
-struct SmCounters {
-  std::uint32_t sm = 0;
-  std::uint64_t warps = 0;
-  std::uint64_t global_slots = 0;
-  std::uint64_t transactions = 0;
-  double warp_instructions = 0.0;
-  std::uint64_t bank_conflict_steps = 0;
-  double compute_cycles = 0.0;
-  double latency_cycles = 0.0;
-  /// max(compute, latency): when this SM retires its last warp.
-  double busy_cycles = 0.0;
-};
-
-/// Modelled hardware counters for one launch, harvested alongside the
-/// KernelReport when a ProfilerHook is attached.  Accumulated per shard
-/// during the replay and merged in fixed SM order, so every field is
-/// bit-identical across ExecPolicies.  Invariants (also after sampling
-/// rescale, which scales both sides by the same integer factor):
-///   coalesced_transactions + uncoalesced_transactions == transactions
-///   coalesced_slots + uncoalesced_slots == global_slots
-///   ideal_transactions + memory_replays == transactions
-///   shared_accesses + shared_replays   == bank_conflict_steps
-struct LaunchCounters {
-  /// Global slots whose transaction count equals the CC's minimum (Table
-  /// III): CC < 2.0 one aligned segment per non-empty half-warp, CC 2.0
-  /// ceil(active_lanes * word_bytes / 128) cache lines.
-  std::uint64_t coalesced_slots = 0;
-  std::uint64_t uncoalesced_slots = 0;
-  /// The same split in transaction units; sums to KernelReport::transactions.
-  std::uint64_t coalesced_transactions = 0;
-  std::uint64_t uncoalesced_transactions = 0;
-  /// CC-minimal transactions over all slots; the excess is the modelled
-  /// memory-replay count.
-  std::uint64_t ideal_transactions = 0;
-  std::uint64_t memory_replays = 0;
-  /// Non-empty half-warp shared accesses; bank_conflict_steps beyond this
-  /// are conflict replays.
-  std::uint64_t shared_accesses = 0;
-  std::uint64_t shared_replays = 0;
-  /// Warps whose lanes recorded tapes of unequal length (lockstep broken).
-  std::uint64_t divergent_warps = 0;
-  std::vector<SmCounters> sms;
-};
-
-/// Post-launch profiling hook (implemented by lgg::prof).  Invoked from
-/// host-serial code after the shard merge and timing derivation, with the
-/// counters and the finished report — never from worker threads, so the
-/// hook needs no synchronisation and the invocation order is independent
-/// of the ExecPolicy.  Faulted launches (DeviceFault) never reach the
-/// hook.
+/// Post-launch profiling hook (implemented by lgg::prof).  core::launch
+/// calls it host-serially with the counters and the finished report, after
+/// the sampled-report rescale, so the hook needs no synchronisation and the
+/// invocation order is independent of the ExecPolicy.  Faulted launches
+/// (DeviceFault) never reach the hook.
 class ProfilerHook {
  public:
   virtual ~ProfilerHook() = default;
   virtual void on_launch(const KernelConfig& config, const DeviceSpec& dev,
                          const LaunchCounters& counters,
                          const KernelReport& report) = 0;
-  /// core::launch, which rescales a sampled launch's KernelReport
-  /// (KernelReport::rescale), calls this with the same factor so the
-  /// recorded profile keeps matching the caller-visible report.
-  virtual void rescale_last(double factor) = 0;
 };
 
 class Simulator {
@@ -307,22 +253,18 @@ class Simulator {
 
   [[nodiscard]] const DeviceSpec& spec() const noexcept { return *spec_; }
 
-  /// Simulate one kernel launch.  sample_stride == 1 runs every warp
-  /// (functional + timing); k > 1 runs every k-th warp and scales the
-  /// statistics (timing only).  The policy selects serial or multi-thread
-  /// host execution; the report is bit-identical either way (see the
-  /// header comment), but the kernel must honour the thread-safety
-  /// contract unless ExecPolicy::serial() is passed.  A non-null
-  /// `inspector` makes the run retain every simulated thread's tape and
-  /// invokes the hook after the merge (sancheck wiring; see
-  /// LaunchInspector).  A non-null `profiler` additionally harvests the
-  /// LaunchCounters and receives them (host-serially) with the finished
-  /// report (lgg_prof wiring; see ProfilerHook).
+  /// Simulate one kernel launch, every warp (functional + timing).  The
+  /// policy selects serial or multi-thread host execution; the report is
+  /// bit-identical either way (see the header comment), but the kernel
+  /// must honour the thread-safety contract unless ExecPolicy::serial() is
+  /// passed.  A non-null `inspector` makes the run retain every simulated
+  /// thread's tape and invokes the hook after the merge (sancheck wiring;
+  /// see LaunchInspector).  A non-null `counters` receives the launch's
+  /// LaunchCounters (lgg_prof wiring; see ProfilerHook).
   KernelReport run(const KernelFn& kernel, const KernelConfig& config,
-                   std::uint32_t sample_stride = 1,
                    const ExecPolicy& policy = {},
                    const LaunchInspector* inspector = nullptr,
-                   ProfilerHook* profiler = nullptr) const;
+                   LaunchCounters* counters = nullptr) const;
 
   /// Price a host->device copy of `bytes`.
   [[nodiscard]] TransferReport transfer(std::uint64_t bytes) const;

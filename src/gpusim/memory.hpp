@@ -81,9 +81,6 @@ class DeviceMemory {
     for (Allocation& a : allocations_) a.live = false;
   }
 
-  /// Install / remove the fault hook after construction.
-  void set_fault_hook(FaultHook* faults) noexcept { faults_ = faults; }
-
  private:
   const DeviceSpec* spec_;
   std::uint64_t capacity_;

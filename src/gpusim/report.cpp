@@ -50,7 +50,15 @@ std::ostream& operator<<(std::ostream& os, const HazardReport& r) {
   return os;
 }
 
-void KernelReport::rescale(double factor, const DeviceSpec& dev) {
+void LaunchCounters::derive_replays(const KernelReport& report) {
+  memory_replays = report.transactions -
+                   std::min(ideal_transactions, report.transactions);
+  shared_replays = report.bank_conflict_steps -
+                   std::min(shared_accesses, report.bank_conflict_steps);
+}
+
+void KernelReport::rescale(double factor, const DeviceSpec& dev,
+                           LaunchCounters* counters) {
   if (factor <= 1.0) return;
   const auto scale_u64 = [factor](std::uint64_t v) {
     return static_cast<std::uint64_t>(static_cast<double>(v) * factor);
@@ -69,6 +77,30 @@ void KernelReport::rescale(double factor, const DeviceSpec& dev) {
   dram_cycles *= factor;
   derive_time(dev);
   sample_fraction = 1.0 / factor;
+  if (counters == nullptr) return;
+
+  // Scaling both halves of a split independently would break
+  // coalesced + uncoalesced == total by a rounding unit.
+  LaunchCounters& c = *counters;
+  c.coalesced_slots = std::min(scale_u64(c.coalesced_slots), global_slots);
+  c.uncoalesced_slots = global_slots - c.coalesced_slots;
+  c.coalesced_transactions =
+      std::min(scale_u64(c.coalesced_transactions), transactions);
+  c.uncoalesced_transactions = transactions - c.coalesced_transactions;
+  c.ideal_transactions = scale_u64(c.ideal_transactions);
+  c.shared_accesses = scale_u64(c.shared_accesses);
+  c.divergent_warps = scale_u64(c.divergent_warps);
+  c.derive_replays(*this);
+  for (SmCounters& sm : c.sms) {
+    sm.warps = scale_u64(sm.warps);
+    sm.global_slots = scale_u64(sm.global_slots);
+    sm.transactions = scale_u64(sm.transactions);
+    sm.warp_instructions *= factor;
+    sm.bank_conflict_steps = scale_u64(sm.bank_conflict_steps);
+    sm.compute_cycles *= factor;
+    sm.latency_cycles *= factor;
+    sm.busy_cycles *= factor;
+  }
 }
 
 void KernelReport::price_dram(const DeviceSpec& dev) {

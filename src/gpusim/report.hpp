@@ -65,6 +65,60 @@ struct HazardReport {
 
 std::ostream& operator<<(std::ostream& os, const HazardReport& r);
 
+struct KernelReport;
+
+/// Per-SM row of the profiler counter harvest, in fixed SM order.  The
+/// busy-cycle columns are the executor's own timing terms, exposed per SM
+/// so a profiler can draw the occupancy timeline on the modelled clock.
+struct SmCounters {
+  std::uint32_t sm = 0;
+  std::uint64_t warps = 0;
+  std::uint64_t global_slots = 0;
+  std::uint64_t transactions = 0;
+  double warp_instructions = 0.0;
+  std::uint64_t bank_conflict_steps = 0;
+  double compute_cycles = 0.0;
+  double latency_cycles = 0.0;
+  /// max(compute, latency): when this SM retires its last warp.
+  double busy_cycles = 0.0;
+};
+
+/// Modelled hardware counters for one launch, harvested alongside the
+/// KernelReport when Simulator::run is given somewhere to put them.
+/// Accumulated per shard during the replay and merged in fixed SM order,
+/// so every field is bit-identical across ExecPolicies.  Invariants (also
+/// after KernelReport::rescale, which re-derives each complement from its
+/// rescaled total):
+///   coalesced_transactions + uncoalesced_transactions == transactions
+///   coalesced_slots + uncoalesced_slots == global_slots
+///   ideal_transactions + memory_replays == transactions
+///   shared_accesses + shared_replays   == bank_conflict_steps
+struct LaunchCounters {
+  /// Global slots whose transaction count equals the CC's minimum (Table
+  /// III): CC < 2.0 one aligned segment per non-empty half-warp, CC 2.0
+  /// ceil(active_lanes * word_bytes / 128) cache lines.
+  std::uint64_t coalesced_slots = 0;
+  std::uint64_t uncoalesced_slots = 0;
+  /// The same split in transaction units; sums to KernelReport::transactions.
+  std::uint64_t coalesced_transactions = 0;
+  std::uint64_t uncoalesced_transactions = 0;
+  /// CC-minimal transactions over all slots; the excess is the modelled
+  /// memory-replay count.
+  std::uint64_t ideal_transactions = 0;
+  std::uint64_t memory_replays = 0;
+  /// Non-empty half-warp shared accesses; bank_conflict_steps beyond this
+  /// are conflict replays.
+  std::uint64_t shared_accesses = 0;
+  std::uint64_t shared_replays = 0;
+  /// Warps whose lanes recorded tapes of unequal length (lockstep broken).
+  std::uint64_t divergent_warps = 0;
+  std::vector<SmCounters> sms;
+
+  /// memory_replays and shared_replays: the report's totals beyond the
+  /// ideal transactions and the shared accesses.
+  void derive_replays(const KernelReport& report);
+};
+
 /// Everything the timing model derived for one kernel launch.
 /// Cycle quantities are in core-clock cycles; *_s values are seconds on
 /// the modelled device (see gpusim/calibration.hpp and DESIGN.md §6).
@@ -94,7 +148,7 @@ struct KernelReport {
   double dram_cycles = 0.0;      // partition-queueing DRAM bound
   double kernel_time_s = 0.0;    // max of the three, plus launch overhead
 
-  /// 1/sample_stride when the run was sampled; 1.0 for exact simulation.
+  /// 1/factor after rescale(factor); 1.0 for exact simulation.
   double sample_fraction = 1.0;
 
   // -- sancheck --
@@ -108,8 +162,12 @@ struct KernelReport {
   /// partition histogram's counts and total floor-scale by `factor`,
   /// instruction and cycle terms multiply, and camping_factor,
   /// kernel_time_s and sample_fraction (= 1 / factor) are re-derived.
-  /// No-op for factor <= 1.
-  void rescale(double factor, const DeviceSpec& dev);
+  /// A non-null `counters` (the same launch's) scales with the report:
+  /// each total floor-scales and its complement is re-derived from the
+  /// rescaled report total, so the LaunchCounters invariants still hold;
+  /// the per-SM rows scale like the report.  No-op for factor <= 1.
+  void rescale(double factor, const DeviceSpec& dev,
+               LaunchCounters* counters = nullptr);
 
   /// Price dram_cycles from the partition histogram (ideal steps on
   /// cached-global devices, serialised steps otherwise), then derive_time.

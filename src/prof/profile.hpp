@@ -1,7 +1,7 @@
 // KernelProfile: one launch's modelled hardware-counter harvest
 // (DESIGN.md §17).
 //
-// A profile is the per-launch roll-up of the executor's LaunchCounters
+// A profile is the per-launch roll-up of a launch's final LaunchCounters
 // and KernelReport plus attribution (the obs span stack open at launch
 // time) and derived metrics (achieved vs peak bandwidth, a roofline
 // classification, per-SM occupancy rows on the modelled clock).  Every
@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "gpusim/executor.hpp"
+#include "gpusim/report.hpp"
 
 namespace lgg::prof {
 

@@ -6,13 +6,10 @@
 #include <map>
 #include <sstream>
 
-#include "gpusim/calibration.hpp"
 #include "gpusim/partition.hpp"
 #include "obs/trace.hpp"
 
 namespace lgg::prof {
-
-namespace cal = gpusim::calibration;
 
 namespace {
 
@@ -83,71 +80,6 @@ void Profiler::on_launch(const gpusim::KernelConfig& config,
 
   p.finalize();
   profiles_.push_back(std::move(p));
-}
-
-void Profiler::rescale_last(double factor) {
-  if (factor <= 1.0 || profiles_.empty()) return;
-  KernelProfile& p = profiles_.back();
-  const auto scale_u64 = [factor](std::uint64_t v) {
-    return static_cast<std::uint64_t>(static_cast<double>(v) * factor);
-  };
-  // Scale the totals the way KernelReport::rescale does, then
-  // re-derive each complement from its total — scaling both halves
-  // independently would break the coalesced + uncoalesced == total
-  // invariant by a rounding unit.
-  p.global_slots = scale_u64(p.global_slots);
-  p.coalesced_slots = std::min(scale_u64(p.coalesced_slots), p.global_slots);
-  p.uncoalesced_slots = p.global_slots - p.coalesced_slots;
-  p.transactions = scale_u64(p.transactions);
-  p.coalesced_transactions =
-      std::min(scale_u64(p.coalesced_transactions), p.transactions);
-  p.uncoalesced_transactions = p.transactions - p.coalesced_transactions;
-  p.ideal_transactions = scale_u64(p.ideal_transactions);
-  p.bytes = scale_u64(p.bytes);
-  p.shared_slots = scale_u64(p.shared_slots);
-  p.shared_accesses = scale_u64(p.shared_accesses);
-  p.bank_conflict_steps = scale_u64(p.bank_conflict_steps);
-  p.divergent_warps = scale_u64(p.divergent_warps);
-  p.warp_instructions *= factor;
-
-  // The histogram transformation of KernelReport::rescale: scale the counts
-  // and the total independently, then re-derive the step/factor metrics.
-  gpusim::PartitionHistogram hist;
-  hist.count = p.partition_pressure;
-  for (auto& c : hist.count) c = scale_u64(c);
-  hist.total = scale_u64(p.partition_total);
-  p.partition_pressure = hist.count;
-  p.partition_total = hist.total;
-  p.partition_serialized_steps = hist.serialized_steps();
-  p.partition_ideal_steps = hist.ideal_steps();
-  p.camping_factor = hist.camping_factor();
-
-  p.memory_replays =
-      p.transactions - std::min(p.ideal_transactions, p.transactions);
-  p.shared_replays =
-      p.bank_conflict_steps -
-      std::min(p.shared_accesses, p.bank_conflict_steps);
-
-  p.compute_cycles *= factor;
-  p.latency_cycles *= factor;
-  p.dram_cycles *= factor;
-  const double cycles =
-      std::max({p.compute_cycles, p.latency_cycles, p.dram_cycles});
-  p.kernel_time_s =
-      cycles / (p.core_clock_ghz * 1e9) + cal::kKernelLaunchOverheadS;
-  p.sample_fraction /= factor;
-
-  for (gpusim::SmCounters& c : p.sms) {
-    c.warps = scale_u64(c.warps);
-    c.global_slots = scale_u64(c.global_slots);
-    c.transactions = scale_u64(c.transactions);
-    c.warp_instructions *= factor;
-    c.bank_conflict_steps = scale_u64(c.bank_conflict_steps);
-    c.compute_cycles *= factor;
-    c.latency_cycles *= factor;
-    c.busy_cycles *= factor;
-  }
-  p.finalize();
 }
 
 std::string Profiler::profile_text() const {

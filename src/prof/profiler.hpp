@@ -4,10 +4,11 @@
 // (GpuTriangleOptions / HybridOptions / RunnerOptions / ServeOptions all
 // carry a `prof` pointer) and every successful launch deposits a
 // KernelProfile — modelled hardware counters, span-stack attribution,
-// per-SM occupancy rows and derived roofline/bandwidth metrics.  The
-// hook fires from host-serial executor code after the shard merge, so
-// the profile sequence is a pure function of the workload and every
-// export below is byte-identical at any ExecPolicy / host thread count.
+// per-SM occupancy rows and derived roofline/bandwidth metrics.
+// core::launch calls the hook host-serially with the launch's final
+// (rescaled, when sampled) counters and report, so the profile sequence
+// is a pure function of the workload and every export below is
+// byte-identical at any ExecPolicy / host thread count.
 //
 // Exports:
 //   profile_text()        flat `name{labels} value` counter file —
@@ -42,12 +43,6 @@ class Profiler final : public gpusim::ProfilerHook {
                  const gpusim::DeviceSpec& dev,
                  const gpusim::LaunchCounters& counters,
                  const gpusim::KernelReport& report) override;
-
-  /// Mirror of KernelReport::rescale, called with the same factor from
-  /// its one site, core::launch (test sampling, chunk truncation): scales
-  /// the last recorded profile so it keeps matching the caller-visible
-  /// report.  No-op for factor <= 1.
-  void rescale_last(double factor) override;
 
   [[nodiscard]] const std::vector<KernelProfile>& profiles() const noexcept {
     return profiles_;

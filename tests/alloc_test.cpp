@@ -41,7 +41,7 @@ std::uint64_t launch_allocations(const Simulator& sim, const KernelFn& kernel,
   const KernelConfig config{"alloc", blocks, 128};
   const std::uint64_t before = g_allocations.load();
   const KernelReport report =
-      sim.run(kernel, config, 1, ExecPolicy::serial());
+      sim.run(kernel, config, ExecPolicy::serial());
   const std::uint64_t after = g_allocations.load();
   EXPECT_EQ(report.warps, 4ull * blocks);
   return after - before;

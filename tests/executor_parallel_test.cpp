@@ -1,8 +1,8 @@
 // Determinism and correctness of the multi-threaded simulator path:
 // KernelReport must be bit-identical between serial and N-thread parallel
-// execution for every kernel shape and sample stride, and the functional
-// outputs of the core kernels must keep matching the CPU oracles when the
-// default (parallel) policy is active.
+// execution for every kernel shape, and the functional outputs of the
+// core kernels must keep matching the CPU oracles when the default
+// (parallel) policy is active.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -70,20 +70,16 @@ TEST(ExecutorParallel, BitIdenticalAcrossThreadCounts) {
       {"partial", 3, 96}, {"one-warp", 1, 32},
   };
   for (const KernelConfig& cfg : shapes) {
-    for (const std::uint32_t stride : {1u, 3u, 7u}) {
-      const KernelReport serial =
-          sim.run(kernel, cfg, stride, ExecPolicy::serial());
-      for (const std::size_t threads : {1u, 2u, 5u, 13u}) {
-        SCOPED_TRACE(cfg.name + "/stride" + std::to_string(stride) +
-                     "/threads" + std::to_string(threads));
-        const KernelReport parallel =
-            sim.run(kernel, cfg, stride, ExecPolicy::parallel(threads));
-        expect_reports_identical(serial, parallel);
-      }
-      // Default policy (shared pool) must agree too.
-      const KernelReport def = sim.run(kernel, cfg, stride);
-      expect_reports_identical(serial, def);
+    const KernelReport serial = sim.run(kernel, cfg, ExecPolicy::serial());
+    for (const std::size_t threads : {1u, 2u, 5u, 13u}) {
+      SCOPED_TRACE(cfg.name + "/threads" + std::to_string(threads));
+      const KernelReport parallel =
+          sim.run(kernel, cfg, ExecPolicy::parallel(threads));
+      expect_reports_identical(serial, parallel);
     }
+    // Default policy (shared pool) must agree too.
+    const KernelReport def = sim.run(kernel, cfg);
+    expect_reports_identical(serial, def);
   }
 }
 
@@ -93,9 +89,9 @@ TEST(ExecutorParallel, CachedDeviceAlsoBitIdentical) {
   const Buffer buf = mem.alloc(1 << 22);
   const KernelFn kernel = mixed_kernel(buf);
   const KernelConfig cfg{"fermi", 29, 64};
-  const KernelReport serial = sim.run(kernel, cfg, 1, ExecPolicy::serial());
+  const KernelReport serial = sim.run(kernel, cfg, ExecPolicy::serial());
   const KernelReport parallel =
-      sim.run(kernel, cfg, 1, ExecPolicy::parallel(4));
+      sim.run(kernel, cfg, ExecPolicy::parallel(4));
   expect_reports_identical(serial, parallel);
 }
 
@@ -110,7 +106,7 @@ TEST(ExecutorParallel, PerWarpSlotsMatchSerialFunctionalResult) {
           rec.compute(1);
           slots[ctx.global_warp] += ctx.global_id + 1;
         },
-        cfg, 1, policy);
+        cfg, policy);
     return slots;
   };
   const auto serial = run_once(ExecPolicy::serial());
@@ -124,9 +120,9 @@ TEST(ExecutorParallel, KernelExceptionPropagates) {
     if (ctx.global_id == 777) throw std::runtime_error("kernel boom");
   };
   EXPECT_THROW(
-      sim.run(boom, {"boom", 30, 64}, 1, ExecPolicy::parallel(4)),
+      sim.run(boom, {"boom", 30, 64}, ExecPolicy::parallel(4)),
       std::runtime_error);
-  EXPECT_THROW(sim.run(boom, {"boom", 30, 64}, 1, ExecPolicy::serial()),
+  EXPECT_THROW(sim.run(boom, {"boom", 30, 64}, ExecPolicy::serial()),
                std::runtime_error);
 }
 

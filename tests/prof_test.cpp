@@ -110,8 +110,8 @@ TEST(ProfCounters, CampingMatchesPartitionModel) {
 }
 
 TEST(ProfCounters, RescaledProfileTracksSampledReport) {
-  // A truncating test budget rescales the KernelReport; rescale_last
-  // must keep the recorded profile identical to the final report.
+  // A truncating test budget rescales the KernelReport; the profile is
+  // recorded from the rescaled launch, so it matches the final report.
   const graph::Graph g = test_graph();
   const ProfRun r =
       run_gpu(g, gpusim::ExecPolicy::serial(),
@@ -135,14 +135,23 @@ TEST(ProfCounters, RescaledProfileTracksSampledReport) {
 
 TEST(ProfDeterminism, ExportsByteIdenticalAcrossPolicies) {
   const graph::Graph g = test_graph();
-  const ProfRun serial = run_gpu(g, gpusim::ExecPolicy::serial());
-  for (const std::size_t threads : {1u, 8u}) {
-    const ProfRun par = run_gpu(g, gpusim::ExecPolicy::parallel(threads));
-    EXPECT_EQ(serial.profile, par.profile) << "threads=" << threads;
-    EXPECT_EQ(serial.tree, par.tree) << "threads=" << threads;
-    EXPECT_EQ(serial.flame, par.flame) << "threads=" << threads;
-    EXPECT_EQ(serial.tracks, par.tracks) << "threads=" << threads;
-    EXPECT_EQ(serial.trace, par.trace) << "threads=" << threads;
+  const auto layout = core::GpuLayout::kCoalescedAntiCamping;
+  // Exact and sampled (rescaled) launches.
+  for (const std::uint64_t max_tests : {0u, 1000u}) {
+    const ProfRun serial =
+        run_gpu(g, gpusim::ExecPolicy::serial(), layout, max_tests);
+    EXPECT_EQ(serial.result.exact, max_tests == 0);
+    for (const std::size_t threads : {1u, 8u}) {
+      SCOPED_TRACE("max_tests=" + std::to_string(max_tests) +
+                   " threads=" + std::to_string(threads));
+      const ProfRun par = run_gpu(g, gpusim::ExecPolicy::parallel(threads),
+                                  layout, max_tests);
+      EXPECT_EQ(serial.profile, par.profile);
+      EXPECT_EQ(serial.tree, par.tree);
+      EXPECT_EQ(serial.flame, par.flame);
+      EXPECT_EQ(serial.tracks, par.tracks);
+      EXPECT_EQ(serial.trace, par.trace);
+    }
   }
 }
 

@@ -69,12 +69,45 @@ KernelReport sampled_report() {
   return r;
 }
 
+/// The same launch's LaunchCounters, with every split consistent with
+/// sampled_report() (coalesced + uncoalesced == total and so on).
+LaunchCounters sampled_counters() {
+  LaunchCounters c;
+  c.coalesced_slots = 51;
+  c.uncoalesced_slots = 50;  // of 101 global slots
+  c.coalesced_transactions = 131;
+  c.uncoalesced_transactions = 126;  // of 257 transactions
+  c.ideal_transactions = 203;
+  c.memory_replays = 54;
+  c.shared_accesses = 11;
+  c.shared_replays = 6;  // of 17 bank-conflict steps
+  c.divergent_warps = 3;
+  c.sms = {{0, 7, 51, 129, 600.5, 9, 100.5, 200.25, 200.25},
+           {1, 5, 50, 128, 634.0, 8, 90.25, 300.5, 300.5}};
+  return c;
+}
+
+void expect_counter_invariants(const KernelReport& r, const LaunchCounters& c) {
+  EXPECT_EQ(c.coalesced_slots + c.uncoalesced_slots, r.global_slots);
+  EXPECT_EQ(c.coalesced_transactions + c.uncoalesced_transactions,
+            r.transactions);
+  EXPECT_EQ(c.ideal_transactions + c.memory_replays, r.transactions);
+  EXPECT_EQ(c.shared_accesses + c.shared_replays, r.bank_conflict_steps);
+}
+
 TEST(KernelReport, RescaleAtOrBelowOneChangesNothing) {
   const DeviceSpec& dev = tesla_c1060();
   for (const double factor : {1.0, 0.5, 0.0}) {
     KernelReport r = sampled_report();
-    r.rescale(factor, dev);
+    LaunchCounters c = sampled_counters();
+    r.rescale(factor, dev, &c);
     const KernelReport want = sampled_report();
+    const LaunchCounters want_c = sampled_counters();
+    EXPECT_EQ(c.coalesced_slots, want_c.coalesced_slots);
+    EXPECT_EQ(c.uncoalesced_transactions, want_c.uncoalesced_transactions);
+    EXPECT_EQ(c.memory_replays, want_c.memory_replays);
+    EXPECT_EQ(c.sms[1].warps, want_c.sms[1].warps);
+    EXPECT_EQ(c.sms[1].busy_cycles, want_c.sms[1].busy_cycles);
     EXPECT_EQ(r.global_slots, want.global_slots);
     EXPECT_EQ(r.transactions, want.transactions);
     EXPECT_EQ(r.bytes, want.bytes);
@@ -95,7 +128,30 @@ TEST(KernelReport, RescaleAtOrBelowOneChangesNothing) {
 TEST(KernelReport, RescaleScalesCountersAndRederivesTiming) {
   const DeviceSpec& dev = tesla_c1060();
   KernelReport r = sampled_report();
-  r.rescale(3.0, dev);
+  LaunchCounters c = sampled_counters();
+  r.rescale(3.0, dev, &c);
+  // An integer factor scales every counter and per-SM row exactly.
+  EXPECT_EQ(c.coalesced_slots, 153u);
+  EXPECT_EQ(c.uncoalesced_slots, 150u);
+  EXPECT_EQ(c.coalesced_transactions, 393u);
+  EXPECT_EQ(c.uncoalesced_transactions, 378u);
+  EXPECT_EQ(c.ideal_transactions, 609u);
+  EXPECT_EQ(c.memory_replays, 162u);
+  EXPECT_EQ(c.shared_accesses, 33u);
+  EXPECT_EQ(c.shared_replays, 18u);
+  EXPECT_EQ(c.divergent_warps, 9u);
+  EXPECT_EQ(c.sms[0].sm, 0u);
+  EXPECT_EQ(c.sms[0].warps, 21u);
+  EXPECT_EQ(c.sms[0].global_slots, 153u);
+  EXPECT_EQ(c.sms[0].transactions, 387u);
+  EXPECT_EQ(c.sms[0].warp_instructions, 600.5 * 3.0);
+  EXPECT_EQ(c.sms[0].bank_conflict_steps, 27u);
+  EXPECT_EQ(c.sms[0].compute_cycles, 100.5 * 3.0);
+  EXPECT_EQ(c.sms[0].latency_cycles, 200.25 * 3.0);
+  EXPECT_EQ(c.sms[0].busy_cycles, 200.25 * 3.0);
+  EXPECT_EQ(c.sms[1].sm, 1u);
+  EXPECT_EQ(c.sms[1].warps, 15u);
+  expect_counter_invariants(r, c);
   EXPECT_EQ(r.name, "sampled");
   EXPECT_EQ(r.warps, 240u);  // launch shape is not a sampled quantity
   EXPECT_EQ(r.global_slots, 303u);
@@ -118,12 +174,38 @@ TEST(KernelReport, RescaleScalesCountersAndRederivesTiming) {
 
 TEST(KernelReport, RescaleFloorsFractionalCounters) {
   KernelReport r = sampled_report();
-  r.rescale(2.5, tesla_c1060());
+  LaunchCounters c = sampled_counters();
+  r.rescale(2.5, tesla_c1060(), &c);
   EXPECT_EQ(r.global_slots, 252u);  // 252.5
   EXPECT_EQ(r.transactions, 642u);  // 642.5
   EXPECT_EQ(r.partition_histogram.count[0], 77u);  // 77.5
   EXPECT_EQ(r.partition_histogram.total, 502u);    // 502.5
   EXPECT_EQ(r.sample_fraction, 0.4);
+  EXPECT_EQ(c.coalesced_slots, 127u);  // 127.5
+  EXPECT_EQ(c.divergent_warps, 7u);    // 7.5
+  EXPECT_EQ(c.sms[0].warps, 17u);      // 17.5
+  EXPECT_EQ(c.sms[0].transactions, 322u);  // 322.5
+  expect_counter_invariants(r, c);
+}
+
+TEST(KernelReport, RescaleRederivesCounterComplements) {
+  // At 2.25 every complement pair below floors to one less than its
+  // floored total when both halves are scaled on their own.
+  KernelReport r = sampled_report();
+  LaunchCounters c = sampled_counters();
+  r.rescale(2.25, tesla_c1060(), &c);
+  EXPECT_EQ(r.global_slots, 227u);         // 227.25
+  EXPECT_EQ(c.coalesced_slots, 114u);      // 114.75
+  EXPECT_EQ(c.uncoalesced_slots, 113u);    // not floor(112.5)
+  EXPECT_EQ(r.transactions, 578u);         // 578.25
+  EXPECT_EQ(c.coalesced_transactions, 294u);    // 294.75
+  EXPECT_EQ(c.uncoalesced_transactions, 284u);  // not floor(283.5)
+  EXPECT_EQ(c.ideal_transactions, 456u);   // 456.75
+  EXPECT_EQ(c.memory_replays, 122u);       // not floor(121.5)
+  EXPECT_EQ(r.bank_conflict_steps, 38u);   // 38.25
+  EXPECT_EQ(c.shared_accesses, 24u);       // 24.75
+  EXPECT_EQ(c.shared_replays, 14u);        // not floor(13.5)
+  expect_counter_invariants(r, c);
 }
 
 TEST(RunReport, StreamOperator) {
