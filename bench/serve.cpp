@@ -1,10 +1,12 @@
 // Serving economics (DESIGN.md §15): what residency and batching buy.
 //
-// Row 1 — cold vs resident latency.  A cold triangle query pays the full
-// pipeline every time: admission preprocessing (ALS plan + DODG
-// orientation) plus the count.  A resident query reuses the catalog's
-// artifacts and, once the result cache is warm, answers without touching
-// any backend at all.  The acceptance bar is a >= 5x latency drop for a
+// Row 1 — cold vs resident latency, three paths.  A cold triangle query
+// pays the full pipeline every time: admission preprocessing (ALS plan +
+// DODG orientation) plus the count.  A resident-uncached query reuses the
+// catalog's artifacts but runs its backend every time (result cache off;
+// at the default size that backend is the host DODG counter).  A cached
+// query repeats one already answered and touches no backend at all.  The
+// acceptance bar is a >= 5x latency drop from cold to cached for a
 // repeated triangle query on a resident graph ($LGG_BENCH_SERVE_EDGES
 // edges, 1M by default).
 //
@@ -66,36 +68,54 @@ int main() {
   }
 
   // -- resident latency: admitted once, the query repeated -------------
-  serve::Catalog catalog;
-  catalog.add("g", g);
-  serve::Service service(catalog);
+  // Uncached: every repeat runs the backend.  Cached: one untimed query
+  // warms the result cache, so every timed repeat is a hit.
   const int kResidentRuns = 20;
-  double resident_ms = 0.0;
-  for (int run = 0; run < kResidentRuns; ++run) {
-    Stopwatch watch;
-    service.submit(triangle_req(static_cast<std::uint64_t>(run)));
+  const auto resident_latency_ms = [&](std::size_t cache_capacity) {
+    serve::Catalog catalog;
+    catalog.add("g", g);
+    serve::ServeOptions sopts;
+    sopts.cache_capacity = cache_capacity;
+    serve::Service service(catalog, sopts);
+    service.submit(triangle_req(0));
     service.drain();
-    // The first repeat is a cache miss on prepared artifacts; the rest
-    // are cache hits.  Average over all of them — the steady state a
-    // server actually sees.
-    resident_ms += watch.elapsed_ms() / kResidentRuns;
-  }
-  const double latency_speedup = cold_ms / resident_ms;
+    double ms = 0.0;
+    for (int run = 1; run <= kResidentRuns; ++run) {
+      Stopwatch watch;
+      service.submit(triangle_req(static_cast<std::uint64_t>(run)));
+      service.drain();
+      ms += watch.elapsed_ms() / kResidentRuns;
+    }
+    return ms;
+  };
+  const double uncached_ms = resident_latency_ms(0);
+  const double cached_ms =
+      resident_latency_ms(serve::ServeOptions{}.cache_capacity);
+  const double uncached_speedup = cold_ms / uncached_ms;
+  const double latency_speedup = cold_ms / cached_ms;
 
   TextTable latency({"path", "wall ms/query", "speedup", "backend"});
   latency.new_row().add("cold").add(cold_ms, 3).add(1.0, 1).add(backend);
   latency.new_row()
-      .add("resident")
-      .add(resident_ms, 3)
+      .add("resident-uncached")
+      .add(uncached_ms, 3)
+      .add(uncached_speedup, 1)
+      .add(backend);
+  latency.new_row()
+      .add("cached")
+      .add(cached_ms, 3)
       .add(latency_speedup, 1)
       .add("cache");
   latency.print(std::cout);
   bench::emit(bench::JsonRecord("serve_cold_vs_resident")
                   .field("edges", std::uint64_t{g.num_edges()})
                   .field("cold_ms", cold_ms)
-                  .field("resident_ms", resident_ms)
+                  .field("resident_uncached_ms", uncached_ms)
+                  .field("resident_ms", cached_ms)
+                  .field("uncached_speedup", uncached_speedup)
                   .field("speedup", latency_speedup)
                   .field("backend", backend)
+                  .field("meets_5x_basis", "cold_ms / resident_ms (cached)")
                   .field("meets_5x", latency_speedup >= 5.0));
 
   // -- batched vs unbatched throughput (cache off) ----------------------
@@ -151,7 +171,7 @@ int main() {
                   .field("speedup", unbatched_ms / batched_ms));
 
   if (latency_speedup < 5.0) {
-    std::cerr << "resident latency speedup " << latency_speedup
+    std::cerr << "cold-to-cached latency speedup " << latency_speedup
               << "x is below the 5x acceptance bar\n";
     return 1;
   }

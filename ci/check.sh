@@ -87,23 +87,40 @@ step "ingest: determinism suites"
 ctest --test-dir build -L ingest --output-on-failure \
       "${CTEST_ARGS[@]+"${CTEST_ARGS[@]}"}"
 
-step "ingest: serial-vs-parallel digest on a 1M-edge graph (lgg_cli)"
+step "ingest: serial-vs-parallel digest on 1M-edge graphs (lgg_cli)"
 # The same contract end to end through the CLI, at a size where the
-# parallel pipeline actually fans out (many chunks, skewed buckets).
+# parallel pipeline actually fans out (many chunks): a uniform gnm graph
+# and a skewed R-MAT graph whose hubs stress the bucket dedup and the
+# sorted-by-construction adjacency fill.  On each, the DODG count must
+# also equal the forward algorithm's.
 build/tools/lgg_cli generate gnm "$OBS_TMP/ingest-1m.txt" 200000 1000000 7 \
       > /dev/null
-SERIAL_DIGEST="$(build/tools/lgg_cli ingest "$OBS_TMP/ingest-1m.txt" --serial \
-      | awk '$1 == "digest:" { print $2 }')"
-for T in 1 8; do
-  PAR_DIGEST="$(build/tools/lgg_cli ingest "$OBS_TMP/ingest-1m.txt" \
-        --threads "$T" | awk '$1 == "digest:" { print $2 }')"
-  if [ "$SERIAL_DIGEST" != "$PAR_DIGEST" ]; then
-    echo "ingest digest mismatch at --threads $T:" \
-         "serial=$SERIAL_DIGEST parallel=$PAR_DIGEST" >&2
+build/tools/lgg_cli generate rmat "$OBS_TMP/ingest-rmat.txt" 17 8 7 \
+      > /dev/null
+for G in ingest-1m ingest-rmat; do
+  SERIAL_DIGEST="$(build/tools/lgg_cli ingest "$OBS_TMP/$G.txt" --serial \
+        | awk '$1 == "digest:" { print $2 }')"
+  for T in 1 8; do
+    PAR_DIGEST="$(build/tools/lgg_cli ingest "$OBS_TMP/$G.txt" \
+          --threads "$T" | awk '$1 == "digest:" { print $2 }')"
+    if [ -z "$SERIAL_DIGEST" ] || [ "$SERIAL_DIGEST" != "$PAR_DIGEST" ]; then
+      echo "$G: ingest digest mismatch at --threads $T:" \
+           "serial=$SERIAL_DIGEST parallel=$PAR_DIGEST" >&2
+      exit 1
+    fi
+  done
+  echo "$G: digest $SERIAL_DIGEST identical for --serial, --threads 1," \
+       "--threads 8"
+  DODG_COUNT="$(build/tools/lgg_cli count "$OBS_TMP/$G.txt" --orient \
+        | awk '$1 == "triangles:" { print $2 }')"
+  FORWARD_COUNT="$(build/tools/lgg_cli count "$OBS_TMP/$G.txt" forward \
+        | awk '$1 == "triangles:" { print $2 }')"
+  if [ -z "$DODG_COUNT" ] || [ "$DODG_COUNT" != "$FORWARD_COUNT" ]; then
+    echo "$G: DODG count $DODG_COUNT != forward count $FORWARD_COUNT" >&2
     exit 1
   fi
+  echo "$G: DODG count $DODG_COUNT equals forward"
 done
-echo "digest $SERIAL_DIGEST identical for --serial, --threads 1, --threads 8"
 
 step "serve: serving-layer suites"
 # The serve-labelled tests (ctest -L serve) pin the DESIGN.md section 15

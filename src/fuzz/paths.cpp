@@ -23,12 +23,14 @@
 #include "graph/bfs.hpp"
 #include "graph/bit_matrix.hpp"
 #include "graph/io.hpp"
+#include "ingest/orient.hpp"
 #include "resilience/fault.hpp"
 #include "resilience/runner.hpp"
 #include "stream/edge_stream.hpp"
 #include "stream/streaming_triangles.hpp"
 #include "util/error.hpp"
 #include "util/prng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace lgg::fuzz {
 
@@ -202,6 +204,24 @@ std::vector<CountingPath> default_paths() {
   add({"cpu/kclique3-als", PathKind::kExact, false, {},
        [](const graph::Graph& g, const PathContext&) {
          return exact(core::count_kcliques_als(g, 3));
+       }});
+  add({"cpu/dodg", PathKind::kExact, false, {},
+       [](const graph::Graph& g, const PathContext&) {
+         // The host DODG backend, serially and on the shared pool; the two
+         // must agree before either is compared with the oracle.
+         const std::uint64_t serial =
+             ingest::count_triangles_oriented(ingest::orient_by_degree(g));
+         ThreadPool& pool = ThreadPool::shared();
+         const std::uint64_t pooled = ingest::count_triangles_oriented(
+             ingest::orient_by_degree(g, &pool), &pool);
+         PathOutcome out = exact(serial);
+         if (pooled != serial) {
+           out.value = -1.0;
+           out.detail = "serial/pooled DODG counts differ: " +
+                        std::to_string(serial) + " vs " +
+                        std::to_string(pooled);
+         }
+         return out;
        }});
   add({"cpu/truss-closure", PathKind::kExact, false, {},
        [](const graph::Graph& g, const PathContext&) {

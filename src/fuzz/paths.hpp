@@ -6,7 +6,8 @@
 // A path computes the triangle count (or an estimate, or a self-checked
 // invariant) of a graph through one engineering route:
 //
-//   exact      CPU oracles, the four Section VIII combination strategies,
+//   exact      CPU oracles, the host DODG counter (serial vs pooled), the
+//              four Section VIII combination strategies,
 //              the simulated-GPU kernels under every layout, the hybrid
 //              Sections V-VI pipeline, k-count(k=3), external streaming —
 //              all must equal the forward-algorithm oracle bit-for-bit;

@@ -533,35 +533,34 @@ graph::Graph build_csr_impl(std::size_t n, std::span<const Edge> edges,
     offsets[v + 1] = offsets[v] + kept[v] +
                      counts[v].load(std::memory_order_relaxed);
 
-  // Adjacency fill: u's own (sorted) bucket lands contiguously at the
-  // start of its slice; the incoming side goes through atomic cursors in
-  // claim order.  The final per-vertex sort makes the whole slice
-  // canonical again.
-  for_indices(pool, n, [&](std::size_t v) {
-    counts[v].store(offsets[v] + kept[v], std::memory_order_relaxed);
-  });
+  // Adjacency fill, sorted by construction: every neighbour below v sorts
+  // before every one above it, so v's slice is its low side (each u < v
+  // whose bucket holds v) followed by v's own deduped bucket, which is
+  // already sorted and all above v.  Each range [lo, hi) of destinations
+  // scans the buckets in ascending u: it copies the buckets of its own
+  // vertices into place and appends u to the low side of every v in
+  // [lo, hi) the bucket holds, through cursors only that range touches.
+  // So every low side comes out ascending — no atomics, no contended hub
+  // cache lines, no final sort.  One range per executor: every range
+  // rescans the buckets below its end, so more ranges only add scanning.
   std::vector<Vertex> adjacency(2 * kept_total);
-  for_indices(pool, bucket_ranges.size(), [&](std::size_t r) {
-    for (std::size_t u = bucket_ranges[r].begin; u < bucket_ranges[r].end;
-         ++u) {
-      std::uint64_t w = offsets[u];
-      for (std::uint64_t k = 0; k < kept[u]; ++k) {
-        const Vertex v = half[half_off[u] + k];
-        adjacency[w++] = v;
-        adjacency[counts[v].fetch_add(1, std::memory_order_relaxed)] =
-            static_cast<Vertex>(u);
-      }
+  std::vector<std::uint64_t> cursor(offsets.begin(), offsets.end() - 1);
+  const auto dest_ranges = split_ranges(n, executor_count(pool));
+  for_indices(pool, dest_ranges.size(), [&](std::size_t r) {
+    const auto [lo, hi] = dest_ranges[r];
+    for (std::size_t u = 0; u < hi; ++u) {
+      const Vertex* first = half.data() + half_off[u];
+      const Vertex* end = first + kept[u];
+      if (u >= lo)
+        std::copy(first, end,
+                  adjacency.begin() +
+                      static_cast<std::ptrdiff_t>(offsets[u + 1] - kept[u]));
+      for (const Vertex* it =
+               std::lower_bound(first, end, static_cast<Vertex>(lo));
+           it != end && *it < hi; ++it)
+        adjacency[cursor[*it]++] = static_cast<Vertex>(u);
     }
   });
-  const auto sort_vertices = [&](std::size_t b, std::size_t e) {
-    for (std::size_t v = b; v < e; ++v)
-      std::sort(adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
-                adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]));
-  };
-  if (pool == nullptr)
-    sort_vertices(0, n);
-  else
-    pool->parallel_for_dynamic(n, sort_vertices, 64, 16);
 
   return graph::Graph::from_csr(n, std::move(offsets), std::move(adjacency));
 }

@@ -15,10 +15,12 @@
 //   compact  sparse ids -> dense first-seen-order ids via bucketed
 //            first-occurrence maps, a position sort and a binary-search
 //            translation table
-//   build    parallel CSR: per-range edge normalisation, parallel merge
-//            sort + dedup, degree histogram with relaxed atomics, prefix
-//            offsets, atomic-cursor adjacency fill, per-vertex sorts on
-//            the dynamic scheduler (power-law skew)
+//   build    parallel CSR: counting sort of each edge into its min
+//            endpoint's bucket, per-bucket sort + dedup on the dynamic
+//            scheduler (power-law skew), degree histogram with relaxed
+//            atomics, prefix offsets, then an adjacency fill that is
+//            sorted by construction (low side by destination-range
+//            transpose, then the vertex's own bucket; no final sort)
 //
 // Determinism contract (the same one PRs 1-5 established for the
 // simulator): the LoadedGraph — graph, original_ids, comments,

@@ -22,7 +22,8 @@
 namespace lgg::ingest {
 
 /// CSR over the kept (low rank -> high rank) arcs.  Out-neighbour lists
-/// are sorted by vertex id, so counters intersect them by linear merge.
+/// are sorted by vertex id (a layout contract: ingest digests and tests
+/// pin these arrays), whatever intersection a counter uses.
 struct OrientedGraph {
   std::vector<std::uint64_t> offsets;   // size n+1
   std::vector<graph::Vertex> targets;   // size m (one arc per edge)
@@ -48,8 +49,9 @@ OrientedGraph orient_by_degree(const graph::Graph& g,
                                ThreadPool* pool = nullptr);
 
 /// Exact triangle count over the oriented graph: for every arc u -> v,
-/// |out(u) ∩ out(v)| by sorted merge.  Equals the undirected triangle
-/// count of the source graph.
+/// |out(u) ∩ out(v)|, by marking out(u) in a per-shard byte array and
+/// probing each out(v).  Equals the undirected triangle count of the
+/// source graph, identically at any thread count (a u64 sum).
 std::uint64_t count_triangles_oriented(const OrientedGraph& og,
                                        ThreadPool* pool = nullptr);
 

@@ -8,8 +8,12 @@
 // serial loader's exact message, global line number included).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/digest.hpp"
@@ -18,7 +22,9 @@
 #include "ingest/ingest.hpp"
 #include "ingest/orient.hpp"
 #include "core/triangle_cpu.hpp"
+#include "fuzz/spec.hpp"
 #include "util/error.hpp"
+#include "util/prng.hpp"
 
 namespace lgg::ingest {
 namespace {
@@ -244,6 +250,119 @@ TEST(Orient, OutDegreeIsBounded) {
   // Every leaf has degree 1 < hub degree, so all arcs point at the hub.
   EXPECT_LE(og.max_out_degree, 1u);
   EXPECT_EQ(count_triangles_oriented(og, nullptr), 0u);
+}
+
+/// The sorted-merge DODG counter the mark-array counter replaced, kept
+/// verbatim (run serially) as the differential oracle: for every arc
+/// u -> v, |out(u) ∩ out(v)| by linear merge over the sorted lists.
+std::uint64_t merge_count_oracle(const OrientedGraph& og) {
+  using graph::Vertex;
+  const std::size_t n = og.num_vertices();
+  std::uint64_t local = 0;
+  for (std::size_t u = 0; u < n; ++u) {
+    const auto out_u = og.out_neighbors(static_cast<Vertex>(u));
+    for (const Vertex v : out_u) {
+      const auto out_v = og.out_neighbors(v);
+      // |out(u) ∩ out(v)| by linear merge over the sorted lists.
+      auto a = out_u.begin();
+      auto b = out_v.begin();
+      while (a != out_u.end() && b != out_v.end()) {
+        if (*a < *b)
+          ++a;
+        else if (*b < *a)
+          ++b;
+        else {
+          ++local;
+          ++a;
+          ++b;
+        }
+      }
+    }
+  }
+  return local;
+}
+
+/// Several seeded graphs of every fuzz spec family, plus R-MAT graphs
+/// large enough to grow real hubs (the sampler caps R-MAT at 2^6).
+std::vector<std::pair<std::string, Graph>> differential_graphs() {
+  constexpr std::size_t kPerFamily = 3;
+  std::vector<std::pair<std::string, Graph>> graphs;
+  std::map<std::string, std::size_t> seen;
+  Xoshiro256 rng(16);
+  fuzz::SamplerLimits limits;
+  limits.max_vertices = 160;
+  while (seen.size() < fuzz::spec_families().size() ||
+         std::any_of(seen.begin(), seen.end(),
+                     [](const auto& kv) { return kv.second < kPerFamily; })) {
+    const fuzz::GraphSpec spec = fuzz::sample_spec(rng, limits);
+    if (seen[spec.family]++ < kPerFamily)
+      graphs.emplace_back(spec.to_string(), spec.build());
+  }
+  for (const std::uint64_t seed : {5, 6})
+    graphs.emplace_back("rmat 12x16 seed=" + std::to_string(seed),
+                        graph::rmat(12, 16, seed));
+  return graphs;
+}
+
+/// nullptr (serial) plus pools of 1, 2 and 8 workers.
+std::vector<std::unique_ptr<ThreadPool>> differential_pools() {
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  pools.push_back(nullptr);
+  for (const std::size_t threads : {1, 2, 8})
+    pools.push_back(std::make_unique<ThreadPool>(threads));
+  return pools;
+}
+
+TEST(Orient, MarkCounterMatchesMergeOracleOnEveryFamily) {
+  const auto pools = differential_pools();
+  for (const auto& [name, g] : differential_graphs()) {
+    SCOPED_TRACE(name);
+    const OrientedGraph serial = orient_by_degree(g, nullptr);
+    const std::uint64_t want = merge_count_oracle(serial);
+    EXPECT_EQ(want, core::count_triangles_forward(g));
+    for (const auto& pool : pools) {
+      const OrientedGraph og = orient_by_degree(g, pool.get());
+      ASSERT_EQ(og.offsets, serial.offsets);
+      ASSERT_EQ(og.targets, serial.targets);
+      EXPECT_EQ(count_triangles_oriented(og, pool.get()), want)
+          << "threads=" << (pool ? pool->size() : 0);
+    }
+  }
+}
+
+TEST(IngestCsr, MatchesFromEdgesOnEveryFamilyWithDuplicatesAndLoops) {
+  const auto pools = differential_pools();
+  for (const auto& [name, g] : differential_graphs()) {
+    SCOPED_TRACE(name);
+    const std::size_t n = g.num_vertices();
+    std::vector<graph::Edge> plain = g.edges();
+    // Every edge again in reversed orientation, every third one a third
+    // time, a self-loop on every fifth vertex, then a seeded shuffle so
+    // buckets fill out of order.
+    std::vector<graph::Edge> noisy = plain;
+    for (std::size_t i = 0; i < plain.size(); ++i) {
+      noisy.emplace_back(plain[i].second, plain[i].first);
+      if (i % 3 == 0) noisy.push_back(plain[i]);
+    }
+    for (std::size_t v = 0; v < n; v += 5)
+      noisy.emplace_back(static_cast<graph::Vertex>(v),
+                         static_cast<graph::Vertex>(v));
+    Xoshiro256 rng(n);
+    for (std::size_t i = noisy.size(); i > 1; --i)
+      std::swap(noisy[i - 1], noisy[rng.uniform(i)]);
+
+    for (const auto* edges : {&plain, &noisy}) {
+      const std::uint64_t want =
+          graph::graph_digest(Graph::from_edges(n, *edges));
+      EXPECT_EQ(want, graph::graph_digest(g));
+      for (const auto& pool : pools)
+        EXPECT_EQ(graph::graph_digest(
+                      build_csr_parallel(n, *edges, pool.get())),
+                  want)
+            << "threads=" << (pool ? pool->size() : 0)
+            << (edges == &noisy ? " noisy" : " plain");
+    }
+  }
 }
 
 TEST(IngestDigest, DistinguishesLoadedGraphFields) {
