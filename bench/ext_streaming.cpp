@@ -3,7 +3,6 @@
 // memory budget and reports the passes/memory/time trade-off, plus the
 // single-pass streaming DOULION estimate.
 #include <cmath>
-#include <cstdio>
 #include <iostream>
 
 #include "core/triangle_cpu.hpp"
@@ -12,6 +11,7 @@
 #include "stream/streaming_triangles.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
+#include "util/temp_path.hpp"
 
 int main() {
   using namespace lgg;
@@ -19,7 +19,8 @@ int main() {
                "(Section XII future work) ===\n\n";
 
   const graph::Graph g = graph::layered_random(20000, 400, 0.01, 0.005, 77);
-  const std::string path = "/tmp/lgg_bench_stream.txt";
+  const util::TempPath file = util::TempPath::file("lgg-bench-stream");
+  const std::string& path = file.path();
   graph::write_snap_edge_list_file(path, g, "streaming bench workload");
   const std::uint64_t truth = core::count_triangles_forward(g);
   std::cout << "graph: " << g.num_vertices() << " vertices, "
@@ -58,7 +59,6 @@ int main() {
              1);
   }
   doulion.print(std::cout);
-  std::remove(path.c_str());
 
   std::cout << "\nExpected shape: smaller budgets trade passes for memory "
                "(P ~ 3*sqrt(m/B), passes ~ P^3/6) while the count stays "

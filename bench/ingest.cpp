@@ -21,6 +21,7 @@
 #include "ingest/ingest.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
+#include "util/temp_path.hpp"
 
 namespace {
 
@@ -60,7 +61,8 @@ int main() {
   std::cout << "=== Ingest throughput: serial loader vs parallel pipeline ("
             << edges << " edges) ===\n\n";
   const graph::Graph g = graph::gnm(vertices, edges, 42);
-  const std::string path = "/tmp/lgg_bench_ingest.txt";
+  const util::TempPath file = util::TempPath::file("lgg-bench-ingest");
+  const std::string& path = file.path();
   write_snap_fast(path, g);
 
   Stopwatch serial_watch;
@@ -119,6 +121,5 @@ int main() {
   }
   std::cout << "\n";
   table.print(std::cout);
-  std::remove(path.c_str());
   return 0;
 }

@@ -19,7 +19,7 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 
 step() { printf '\n=== %s ===\n' "$*"; }
 
-step "core: one launch path"
+step "core: one launch path, one plan prologue"
 # core::launch (src/core/launch.cpp) is the only place in src/core that
 # runs the simulator, builds the sancheck analyzer, rescales a sampled
 # report, hands a launch to the profiler or records kernel counters; a
@@ -27,6 +27,15 @@ step "core: one launch path"
 if grep -nE 'TapeAnalyzer|record_kernel\(|on_launch\(|\.rescale\(|sim[A-Za-z_]*\.run\(|\.run\(kernel' src/core/* \
       | grep -v '^src/core/launch\.cpp:'; then
   echo "launch plumbing outside src/core/launch.cpp: use core::launch" >&2
+  exit 1
+fi
+# core::plan_chunked_run (src/core/hybrid.cpp) is the only ALS plan
+# prologue: the "plan/chunking" span and the prepared-plan check appear
+# nowhere else in src/core or src/resilience.
+if grep -nE '"plan/chunking"|prepared ALS plan was built' src/core/* \
+      src/resilience/* | grep -v '^src/core/hybrid\.cpp:'; then
+  echo "ALS plan prologue outside src/core/hybrid.cpp: use" \
+       "core::plan_chunked_run" >&2
   exit 1
 fi
 

@@ -1,7 +1,6 @@
 #include "core/approx.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "core/triangle_cpu.hpp"
 #include "util/error.hpp"
@@ -68,63 +67,6 @@ WedgeSampleResult wedge_sampling_estimate(const Graph& g,
       static_cast<double>(closed) / static_cast<double>(samples);
   result.estimate = result.closed_fraction *
                     static_cast<double>(result.total_wedges) / 3.0;
-  return result;
-}
-
-std::vector<double> local_triangles_minhash(const Graph& g,
-                                            std::uint32_t hashes,
-                                            std::uint64_t seed) {
-  LGG_CHECK(hashes >= 1, "local_triangles_minhash: need >= 1 hash");
-  const std::size_t n = g.num_vertices();
-
-  // signatures[h][v] = min over u in N(v) of hash_h(u).
-  // One pass over the edge set per hash function — the semi-streaming
-  // access pattern of Becchetti et al.
-  std::vector<std::vector<std::uint64_t>> signature(
-      hashes, std::vector<std::uint64_t>(
-                  n, std::numeric_limits<std::uint64_t>::max()));
-  std::vector<std::uint64_t> hash_seed(hashes);
-  {
-    SplitMix64 sm(seed);
-    for (auto& hs : hash_seed) hs = sm.next();
-  }
-  auto hash_vertex = [](std::uint64_t hs, Vertex v) {
-    SplitMix64 sm(hs ^ (0x9E3779B97F4A7C15ull * (v + 1)));
-    return sm.next();
-  };
-  for (std::uint32_t h = 0; h < hashes; ++h) {
-    for (Vertex u = 0; u < n; ++u) {
-      const std::uint64_t hu = hash_vertex(hash_seed[h], u);
-      for (const Vertex v : g.neighbors(u))
-        signature[h][v] = std::min(signature[h][v], hu);
-    }
-  }
-
-  // For each edge (u, v): estimate the Jaccard similarity of N(u), N(v)
-  // as the fraction of matching min-hashes, convert to an intersection
-  // estimate, and credit both endpoints.  tri(v) = 1/2 sum_{u in N(v)}
-  // |N(u) ∩ N(v)|.
-  std::vector<double> shared_sum(n, 0.0);
-  for (Vertex u = 0; u < n; ++u) {
-    for (const Vertex v : g.neighbors(u)) {
-      if (v <= u) continue;
-      std::uint32_t match = 0;
-      for (std::uint32_t h = 0; h < hashes; ++h)
-        if (signature[h][u] == signature[h][v] &&
-            signature[h][u] != std::numeric_limits<std::uint64_t>::max())
-          ++match;
-      const double jaccard =
-          static_cast<double>(match) / static_cast<double>(hashes);
-      const double union_upper =
-          static_cast<double>(g.degree(u) + g.degree(v));
-      // |A ∩ B| = J/(1+J) * (|A| + |B|).
-      const double inter = jaccard / (1.0 + jaccard) * union_upper;
-      shared_sum[u] += inter;
-      shared_sum[v] += inter;
-    }
-  }
-  std::vector<double> result(n);
-  for (Vertex v = 0; v < n; ++v) result[v] = shared_sum[v] / 2.0;
   return result;
 }
 

@@ -8,11 +8,6 @@
 //
 //  * Wedge sampling: sample wedges (paths of length 2) uniformly, measure
 //    the closed fraction, scale by the wedge count / 3.
-//
-//  * Semi-streaming local triangle counts (Becchetti et al., KDD'08 —
-//    paper reference [1]): approximate per-vertex triangle counts from
-//    min-wise-hash signatures of neighbourhoods, touching each edge a
-//    constant number of times per hash function.
 #pragma once
 
 #include <cstdint>
@@ -46,13 +41,5 @@ struct WedgeSampleResult {
 WedgeSampleResult wedge_sampling_estimate(const graph::Graph& g,
                                           std::uint64_t samples,
                                           std::uint64_t seed);
-
-/// Becchetti-style min-wise estimation of per-vertex triangle counts.
-/// `hashes` min-hash functions per neighbourhood; error shrinks like
-/// 1/sqrt(hashes).  Exact for hashes == 0 is NOT provided — use
-/// triangles_per_vertex for ground truth.
-std::vector<double> local_triangles_minhash(const graph::Graph& g,
-                                            std::uint32_t hashes,
-                                            std::uint64_t seed);
 
 }  // namespace lgg::core

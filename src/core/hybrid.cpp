@@ -284,16 +284,18 @@ ChunkLaunch run_chunk_kernel(const graph::Graph& g, const graph::Chunk& chunk,
   return out;
 }
 
-AlsPrecomputed precompute_als(const graph::Graph& g,
-                              const HybridOptions& opts) {
-  const gpusim::DeviceSpec& dev = device_or_default(opts.device);
+namespace {
+
+AlsPrecomputed build_plan(const graph::Graph& g,
+                          const gpusim::DeviceSpec& dev,
+                          graph::SizeMetric metric) {
   AlsPrecomputed plan;
   plan.shared_mem_bits = dev.shared_mem_bits();
-  plan.metric = opts.metric;
+  plan.metric = metric;
 
   graph::ChunkingOptions copts;
   copts.shared_mem_bits = plan.shared_mem_bits;
-  copts.metric = opts.metric;
+  copts.metric = metric;
   plan.chunking = graph::split_into_chunks(g, copts);
   plan.levels.reserve(plan.chunking.trees.size());
   for (const auto& tree : plan.chunking.trees) plan.levels.emplace_back(tree);
@@ -309,6 +311,39 @@ AlsPrecomputed precompute_als(const graph::Graph& g,
                          cal::kCpuCyclesPerBfsEdge /
                          (cal::kCpuClockGhz * 1e9);
   return plan;
+}
+
+}  // namespace
+
+AlsPrecomputed precompute_als(const graph::Graph& g,
+                              const HybridOptions& opts) {
+  return build_plan(g, device_or_default(opts.device), opts.metric);
+}
+
+ChunkedPlan plan_chunked_run(const graph::Graph& g,
+                             const gpusim::DeviceSpec& dev,
+                             graph::SizeMetric metric,
+                             const AlsPrecomputed* prepared,
+                             obs::Session* obs, bool components_arg) {
+  obs::Scope span(obs, "plan/chunking", "plan");
+  ChunkedPlan out;
+  out.prepared = prepared;
+  if (prepared == nullptr) out.cold = build_plan(g, dev, metric);
+  const AlsPrecomputed& plan = out.plan();
+  LGG_CHECK(plan.shared_mem_bits == dev.shared_mem_bits() &&
+                plan.metric == metric,
+            "prepared ALS plan was built for a different device budget or "
+            "size metric");
+  span.model_s(out.preprocessing_s());
+  if (span) {
+    span.arg("chunks",
+             static_cast<std::uint64_t>(plan.chunking.chunks.size()));
+    if (components_arg)
+      span.arg("components",
+               static_cast<std::uint64_t>(plan.chunking.trees.size()));
+    if (prepared != nullptr) span.arg("prepared", true);
+  }
+  return out;
 }
 
 HybridFootprint hybrid_footprint_spec(const graph::Graph& g,
@@ -388,27 +423,10 @@ HybridResult count_triangles_hybrid(const graph::Graph& g,
     driver.arg("threads_per_block", static_cast<std::uint64_t>(tpb));
   }
   // --- Algorithm 1 (or a catalog-resident plan of it) ---
-  AlsPrecomputed local_plan;
-  obs::Scope plan_span(opts.obs, "plan/chunking", "plan");
-  if (opts.prepared == nullptr) local_plan = precompute_als(g, opts);
-  const AlsPrecomputed& plan =
-      opts.prepared != nullptr ? *opts.prepared : local_plan;
-  LGG_CHECK(plan.shared_mem_bits == dev.shared_mem_bits() &&
-                plan.metric == opts.metric,
-            "prepared ALS plan was built for a different device budget or "
-            "size metric");
+  const ChunkedPlan chunked = plan_chunked_run(
+      g, dev, opts.metric, opts.prepared, opts.obs, /*components_arg=*/true);
+  const AlsPrecomputed& plan = chunked.plan();
   const graph::ChunkingResult& chunking = plan.chunking;
-  // Resident plans amortize Algorithm 1: charge zero preprocessing.
-  const double preprocessing =
-      opts.prepared != nullptr ? 0.0 : plan.preprocessing_s;
-  plan_span.model_s(preprocessing);
-  if (plan_span) {
-    plan_span.arg("chunks", static_cast<std::uint64_t>(chunking.chunks.size()));
-    plan_span.arg("components",
-                  static_cast<std::uint64_t>(chunking.trees.size()));
-    if (opts.prepared != nullptr) plan_span.arg("prepared", true);
-  }
-  plan_span.close();
 
   HybridResult result;
   const gpusim::Simulator sim(dev, opts.faults);
@@ -506,7 +524,8 @@ HybridResult count_triangles_hybrid(const graph::Graph& g,
     obs::record_transfer(opts.obs, tr);
   }
   result.total_time_s =
-      finish_driver(driver, preprocessing, transfer_s, result.makespan_s);
+      finish_driver(driver, chunked.preprocessing_s(), transfer_s,
+                    result.makespan_s);
   return result;
 }
 

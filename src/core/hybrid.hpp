@@ -149,6 +149,34 @@ struct AlsPrecomputed {
 AlsPrecomputed precompute_als(const graph::Graph& g,
                               const HybridOptions& opts = {});
 
+/// The Algorithm 1 plan a chunked run executes (see plan_chunked_run).
+struct ChunkedPlan {
+  const AlsPrecomputed* prepared = nullptr;
+  AlsPrecomputed cold;  // built by the run itself when `prepared` is null
+
+  [[nodiscard]] const AlsPrecomputed& plan() const noexcept {
+    return prepared != nullptr ? *prepared : cold;
+  }
+  /// Modelled preprocessing charged to the run: resident plans amortize
+  /// Algorithm 1, so a prepared plan charges zero.
+  [[nodiscard]] double preprocessing_s() const noexcept {
+    return prepared != nullptr ? 0.0 : cold.preprocessing_s;
+  }
+};
+
+/// The plan prologue of count_triangles_hybrid and
+/// resilience::run_resilient, under one plan/chunking span on `obs`:
+/// run Algorithm 1 for (`dev`, `metric`), or check that `prepared` was
+/// built for that shared-memory budget and metric (lgg::Error otherwise).
+/// The span is charged preprocessing_s() and records `chunks`, then
+/// `components` when `components_arg`, then `prepared` for a prepared
+/// plan.
+ChunkedPlan plan_chunked_run(const graph::Graph& g,
+                             const gpusim::DeviceSpec& dev,
+                             graph::SizeMetric metric,
+                             const AlsPrecomputed* prepared,
+                             obs::Session* obs, bool components_arg);
+
 /// Simulated-device footprint of one chunk's packed local adjacency
 /// matrix (what a global-resident chunk allocates; what either kind ships
 /// across PCIe).

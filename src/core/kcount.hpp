@@ -1,14 +1,9 @@
-// Counting problems of size k (paper Section III, extending [5]):
-// k-cliques, independent sets of size k, and connected induced subgraphs
-// of size k.  Each problem has an efficient direct oracle plus a
-// paper-style counter that walks BFS-level windows with combination
-// generation, so tests can prove the level-restriction arguments:
-//
-//  * a k-clique spans at most TWO adjacent BFS levels (mutually adjacent
-//    vertices differ by at most one level) — same windowing as triangles;
-//  * a connected subgraph of size k spans at most k consecutive levels;
-//  * independent sets have NO level locality, so the paper-style counter
-//    for them is the direct one (documented substitution — see DESIGN.md).
+// k-clique counting (paper Section III, extending [5]).  An efficient
+// direct oracle plus a paper-style counter that walks two-level BFS
+// windows with combination generation, so tests can prove the
+// level-restriction argument: a k-clique spans at most TWO adjacent BFS
+// levels (mutually adjacent vertices differ by at most one level) — the
+// same windowing as triangles.
 #pragma once
 
 #include <cstdint>
@@ -28,21 +23,5 @@ std::uint64_t count_kcliques(const graph::Graph& g, std::uint32_t k);
 /// Exponential in window size — intended for the correctness argument and
 /// modest graphs.
 std::uint64_t count_kcliques_als(const graph::Graph& g, std::uint32_t k);
-
-/// Number of independent sets of exactly k vertices (no edge inside),
-/// by backtracking with vertex ordering.
-std::uint64_t count_independent_sets(const graph::Graph& g, std::uint32_t k);
-
-/// Number of connected induced subgraphs on exactly k vertices, via the
-/// ESU (FANMOD) enumeration — exact oracle.
-std::uint64_t count_connected_subgraphs(const graph::Graph& g,
-                                        std::uint32_t k);
-
-/// Paper-style connected-subgraph counter: enumerate k-combinations inside
-/// every window of k consecutive BFS levels whose minimum-level vertex
-/// lies in the window's first level, then test connectivity of the induced
-/// subgraph.  Exponential in window size.
-std::uint64_t count_connected_subgraphs_als(const graph::Graph& g,
-                                            std::uint32_t k);
 
 }  // namespace lgg::core

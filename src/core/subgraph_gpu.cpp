@@ -1,7 +1,6 @@
 #include "core/subgraph_gpu.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <span>
 #include <utility>
 
@@ -21,7 +20,7 @@ using graph::Vertex;
 
 namespace {
 
-/// One BFS-level window turned into a flat candidate space: choose the
+/// One two-level BFS window turned into a flat candidate space: choose the
 /// first (minimum) local id x < x_max, then a (k-1)-combination above it.
 struct WindowJob {
   std::vector<Vertex> locals;  // window levels concatenated, level-major
@@ -40,9 +39,7 @@ std::uint64_t window_tests(std::uint32_t s, std::uint32_t x_max,
   return all - binomial(s - x_max, k);
 }
 
-std::vector<WindowJob> build_windows(const Graph& g,
-                                     std::uint32_t window_levels,
-                                     std::uint32_t k,
+std::vector<WindowJob> build_windows(const Graph& g, std::uint32_t k,
                                      std::uint64_t& total_tests) {
   std::vector<WindowJob> windows;
   total_tests = 0;
@@ -54,7 +51,7 @@ std::vector<WindowJob> build_windows(const Graph& g,
     const std::size_t d = levels.num_levels();
     for (std::size_t i = 0; i < d; ++i) {
       WindowJob w;
-      const std::size_t last = std::min(d - 1, i + window_levels - 1);
+      const std::size_t last = std::min(d - 1, i + 1);
       for (std::size_t l = i; l <= last; ++l) {
         const auto lvl = levels.level(l);
         w.locals.insert(w.locals.end(), lvl.begin(), lvl.end());
@@ -107,28 +104,6 @@ const WindowJob& window_for(const std::vector<WindowJob>& windows,
   return *it;
 }
 
-bool induced_connected(const Graph& g, std::span<const Vertex> vs) {
-  const std::size_t k = vs.size();
-  if (k <= 1) return true;
-  std::uint32_t seen_mask = 1;  // k <= 16 in practice; assert below
-  LGG_ASSERT(k <= 16);
-  std::uint32_t stack_mask = 1;
-  std::size_t reached = 1;
-  while (stack_mask != 0) {
-    const auto i = static_cast<std::size_t>(
-        std::countr_zero(stack_mask));
-    stack_mask &= stack_mask - 1;
-    for (std::size_t j = 0; j < k; ++j) {
-      if (!(seen_mask >> j & 1) && g.has_edge(vs[i], vs[j])) {
-        seen_mask |= 1u << j;
-        stack_mask |= 1u << j;
-        ++reached;
-      }
-    }
-  }
-  return reached == k;
-}
-
 /// The whole-graph adjacency matrix in device memory (global vertex ids).
 struct DeviceMatrix {
   gpusim::Buffer buf;
@@ -148,7 +123,6 @@ DeviceMatrix alloc_matrix(const Graph& g, gpusim::DeviceMemory& mem) {
 /// slots indexed by the passed warp id.
 template <typename Accept>
 GpuKCountResult run_kcount(const Graph& g, std::uint32_t k,
-                           std::uint32_t window_levels,
                            const GpuKCountOptions& opts,
                            const Accept& accept) {
   LGG_CHECK(k >= 1 && k <= 16, "GPU k-count supports 1 <= k <= 16");
@@ -158,8 +132,7 @@ GpuKCountResult run_kcount(const Graph& g, std::uint32_t k,
 
   GpuKCountResult result;
   std::uint64_t total = 0;
-  const std::vector<WindowJob> windows =
-      build_windows(g, window_levels, k, total);
+  const std::vector<WindowJob> windows = build_windows(g, k, total);
   result.total_tests = total;
 
   gpusim::DeviceMemory mem(dev, opts.faults);
@@ -252,18 +225,16 @@ GpuKCountResult run_kcount(const Graph& g, std::uint32_t k,
 
 }  // namespace
 
-sancheck::FootprintSpec subgraph_footprint_spec(
-    const Graph& g, std::uint32_t k, std::uint32_t window_levels,
-    const GpuKCountOptions& opts) {
+sancheck::FootprintSpec subgraph_footprint_spec(const Graph& g,
+                                                std::uint32_t k,
+                                                const GpuKCountOptions& opts) {
   LGG_CHECK(k >= 1 && k <= 16, "GPU k-count supports 1 <= k <= 16");
-  LGG_CHECK(window_levels >= 1, "window_levels must be positive");
   const LaunchShape shape =
       launch_shape(opts.device, opts.blocks, opts.threads_per_block);
   const gpusim::DeviceSpec& dev = shape.dev;
 
   std::uint64_t total = 0;
-  const std::vector<WindowJob> windows =
-      build_windows(g, window_levels, k, total);
+  const std::vector<WindowJob> windows = build_windows(g, k, total);
 
   gpusim::DeviceMemory mem(dev);  // scratch: only the addresses matter
   const DeviceMatrix matrix = alloc_matrix(g, mem);
@@ -295,21 +266,12 @@ sancheck::FootprintSpec subgraph_footprint_spec(
 
 GpuKCountResult count_kcliques_gpu(const Graph& g, std::uint32_t k,
                                    const GpuKCountOptions& opts) {
-  return run_kcount(g, k, /*window_levels=*/2, opts,
+  return run_kcount(g, k, opts,
                     [&](std::span<const Vertex> vs, std::uint64_t) {
                       for (std::size_t a = 0; a < vs.size(); ++a)
                         for (std::size_t b = a + 1; b < vs.size(); ++b)
                           if (!g.has_edge(vs[a], vs[b])) return false;
                       return true;
-                    });
-}
-
-GpuKCountResult count_connected_subgraphs_gpu(const Graph& g,
-                                              std::uint32_t k,
-                                              const GpuKCountOptions& opts) {
-  return run_kcount(g, k, /*window_levels=*/k, opts,
-                    [&](std::span<const Vertex> vs, std::uint64_t) {
-                      return induced_connected(g, vs);
                     });
 }
 
@@ -345,7 +307,7 @@ GpuTriangleListing list_triangles_gpu(const Graph& g,
     // which reproduces the serial append order exactly.
     std::vector<std::vector<std::array<Vertex, 3>>> warp_out(shape.warps());
     base = run_kcount(
-        g, 3, 2, opts,
+        g, 3, opts,
         [&](std::span<const Vertex> vs, std::uint64_t global_warp) {
           if (g.has_edge(vs[0], vs[1]) && g.has_edge(vs[1], vs[2]) &&
               g.has_edge(vs[0], vs[2])) {

@@ -1,18 +1,15 @@
-// Generalised size-k subgraph counting and triangle LISTING on the
-// simulated GPU — the Section III/VII extensions of the triangle kernel:
+// k-clique counting and triangle LISTING on the simulated GPU — the
+// Section III/VII extensions of the triangle kernel:
 //
 //  * k-cliques span at most two adjacent BFS levels, so the clique kernel
 //    reuses the two-level window machinery with C(k,2) adjacency probes
 //    per candidate;
-//  * connected induced subgraphs of size k span at most k consecutive
-//    levels; the kernel probes all C(k,2) pairs and the host predicate
-//    checks induced connectivity;
 //  * listing (Section VII's second flavour) augments the triangle kernel
 //    with coalesced writes of each found triangle to a device output
 //    buffer.
 //
 // Work division follows Section VIII-D exactly: a flat index space over
-// all (window, first-vertex, suffix-combination) candidates, unranked
+// all (two-level window, first-vertex, suffix-combination) candidates, unranked
 // per-thread via the hockey-stick identity plus combinadic decoding.
 #pragma once
 
@@ -53,11 +50,6 @@ struct GpuKCountResult {
 GpuKCountResult count_kcliques_gpu(const graph::Graph& g, std::uint32_t k,
                                    const GpuKCountOptions& opts = {});
 
-/// Count connected induced k-subgraphs on the simulated GPU.  Agrees with
-/// count_connected_subgraphs on exact runs.
-GpuKCountResult count_connected_subgraphs_gpu(
-    const graph::Graph& g, std::uint32_t k, const GpuKCountOptions& opts = {});
-
 struct GpuTriangleListing {
   std::vector<std::array<graph::Vertex, 3>> triangles;  // exact runs only
   bool exact = true;
@@ -74,14 +66,11 @@ struct GpuTriangleListing {
 GpuTriangleListing list_triangles_gpu(const graph::Graph& g,
                                       const GpuKCountOptions& opts = {});
 
-/// Static footprint spec of the k-count launch shared by
-/// count_kcliques_gpu (window_levels = 2) and
-/// count_connected_subgraphs_gpu (window_levels = k): one combinadic job
-/// per BFS-level window with the generalised hockey-stick accounting
-/// C(s,k) - C(s-x_max,k), all probing the shared whole-graph matrix by
-/// global vertex id.
+/// Static footprint spec of the k-count launch of count_kcliques_gpu and
+/// list_triangles_gpu: one combinadic job per two-level BFS window with
+/// the generalised hockey-stick accounting C(s,k) - C(s-x_max,k), all
+/// probing the shared whole-graph matrix by global vertex id.
 sancheck::FootprintSpec subgraph_footprint_spec(
-    const graph::Graph& g, std::uint32_t k, std::uint32_t window_levels,
-    const GpuKCountOptions& opts = {});
+    const graph::Graph& g, std::uint32_t k, const GpuKCountOptions& opts = {});
 
 }  // namespace lgg::core

@@ -1,13 +1,7 @@
 #include "fuzz/paths.hpp"
 
-#include <atomic>
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
-
-#include <unistd.h>
 
 #include "combi/binomial.hpp"
 #include "combi/strategies.hpp"
@@ -28,6 +22,7 @@
 #include "resilience/runner.hpp"
 #include "stream/edge_stream.hpp"
 #include "stream/streaming_triangles.hpp"
+#include "util/temp_path.hpp"
 #include "util/error.hpp"
 #include "util/prng.hpp"
 #include "util/thread_pool.hpp"
@@ -72,24 +67,6 @@ PathOutcome count_via_strategy(const graph::Graph& g, combi::Strategy s) {
       });
   return exact(triangles);
 }
-
-// RAII temp file for the external-memory streaming path.  The name
-// carries the process id: concurrent processes (ctest -j runs every corpus
-// case as its own process) share the temp directory and the tags.
-struct TempGraphFile {
-  std::string path;
-  explicit TempGraphFile(const graph::Graph& g, std::uint64_t tag) {
-    static std::atomic<std::uint64_t> sequence{0};
-    std::ostringstream name;
-    name << "lgg-fuzz-" << ::getpid() << '-' << tag << '-'
-         << sequence.fetch_add(1) << ".txt";
-    path = (std::filesystem::temp_directory_path() / name.str()).string();
-    graph::write_snap_edge_list_file(path, g, "fuzz streaming path");
-  }
-  ~TempGraphFile() { std::remove(path.c_str()); }
-  TempGraphFile(const TempGraphFile&) = delete;
-  TempGraphFile& operator=(const TempGraphFile&) = delete;
-};
 
 PathOutcome doulion_path(const graph::Graph& g, const PathContext& ctx) {
   // Average independent DOULION runs so the standard error is measurable
@@ -299,9 +276,11 @@ std::vector<CountingPath> default_paths() {
   // --- External-memory streaming -----------------------------------------
   add({"stream/external", PathKind::kExact, false,
        [](const graph::Graph& g) { return g.num_edges() >= 1; },
-       [](const graph::Graph& g, const PathContext& ctx) {
-         const TempGraphFile file(g, ctx.seed);
-         const stream::EdgeStream es(file.path);
+       [](const graph::Graph& g, const PathContext&) {
+         const util::TempPath file = util::TempPath::file("lgg-fuzz");
+         graph::write_snap_edge_list_file(file.path(), g,
+                                          "fuzz streaming path");
+         const stream::EdgeStream es(file.path());
          const std::uint64_t budget =
              std::max<std::uint64_t>(3, g.num_edges() / 2);
          return exact(stream::count_triangles_external(es, budget).triangles);

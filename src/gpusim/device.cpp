@@ -71,7 +71,6 @@ const std::array<DeviceSpec, 3>& registry() {
 
 const DeviceSpec& tesla_c1060() { return registry()[0]; }
 const DeviceSpec& tesla_c2050() { return registry()[1]; }
-const DeviceSpec& tesla_c2070() { return registry()[2]; }
 
 std::span<const DeviceSpec> known_devices() { return registry(); }
 

@@ -86,14 +86,6 @@ CoreDecomposition core_decomposition(const Graph& g) {
   return result;
 }
 
-std::vector<Vertex> kcore_vertices(const Graph& g, std::uint32_t k) {
-  const CoreDecomposition d = core_decomposition(g);
-  std::vector<Vertex> result;
-  for (Vertex v = 0; v < g.num_vertices(); ++v)
-    if (d.core[v] >= k) result.push_back(v);
-  return result;
-}
-
 std::uint32_t diameter_double_sweep(const Graph& g, Vertex seed_vertex) {
   if (g.num_vertices() == 0) return 0;
   LGG_CHECK(seed_vertex < g.num_vertices(),

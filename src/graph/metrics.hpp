@@ -39,9 +39,6 @@ struct CoreDecomposition {
 /// Matula–Beck peeling in O(n + m) with bucket queues.
 CoreDecomposition core_decomposition(const Graph& g);
 
-/// Vertices of the k-core (possibly empty).
-std::vector<Vertex> kcore_vertices(const Graph& g, std::uint32_t k);
-
 /// Lower bound on the diameter by a BFS double sweep from `seed_vertex`
 /// (standard technique; exact on trees).  Returns 0 for empty graphs;
 /// only the component of seed_vertex is examined.

@@ -16,7 +16,7 @@
 //   sancheck/— compute-sanitizer-style hazard analysis of simulated
 //              launches (tape analyzer + static footprint lint)
 //   core/    — Algorithm 2 triangle counting (CPU + simulated GPU with the
-//              Figs. 8-9 layouts), k-subgraph counters, social analyses
+//              Figs. 8-9 layouts), k-clique counters, social analyses
 //   obs/     — unified observability: modelled-time span tracer, metrics
 //              registry, Chrome-trace / span-tree / Prometheus exporters
 //   prof/    — deterministic kernel profiler: modelled hardware counters
@@ -33,9 +33,7 @@
 
 #include "combi/binomial.hpp"        // IWYU pragma: export
 #include "combi/combinadic.hpp"      // IWYU pragma: export
-#include "combi/gray.hpp"            // IWYU pragma: export
 #include "combi/strategies.hpp"      // IWYU pragma: export
-#include "combi/stratified.hpp"      // IWYU pragma: export
 #include "core/als_plan.hpp"         // IWYU pragma: export
 #include "core/approx.hpp"           // IWYU pragma: export
 #include "core/bfs_gpu.hpp"          // IWYU pragma: export
@@ -58,7 +56,6 @@
 #include "graph/bit_matrix.hpp"      // IWYU pragma: export
 #include "graph/chunking.hpp"        // IWYU pragma: export
 #include "graph/digest.hpp"          // IWYU pragma: export
-#include "graph/formats.hpp"         // IWYU pragma: export
 #include "graph/generators.hpp"      // IWYU pragma: export
 #include "graph/graph.hpp"           // IWYU pragma: export
 #include "graph/io.hpp"              // IWYU pragma: export
@@ -98,3 +95,4 @@
 #include "util/prng.hpp"             // IWYU pragma: export
 #include "util/stopwatch.hpp"        // IWYU pragma: export
 #include "util/table.hpp"            // IWYU pragma: export
+#include "util/temp_path.hpp"        // IWYU pragma: export

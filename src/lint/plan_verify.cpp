@@ -189,8 +189,7 @@ PlanReport verify_pipeline(const graph::Graph& g, std::uint32_t loss_k) {
   }
   add_spec(report, core::intersect_footprint_spec(g));
   add_spec(report, core::bfs_footprint_spec(g));
-  add_spec(report, core::subgraph_footprint_spec(g, 3, 2), "[clique k=3]");
-  add_spec(report, core::subgraph_footprint_spec(g, 4, 4), "[connected k=4]");
+  add_spec(report, core::subgraph_footprint_spec(g, 3), "[clique k=3]");
 
   const core::HybridFootprint hybrid = core::hybrid_footprint_spec(g);
   for (const sancheck::FootprintSpec& spec : hybrid.chunk_specs)

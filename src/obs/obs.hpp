@@ -26,17 +26,12 @@
 #include "gpusim/report.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/stopwatch.hpp"
 
 namespace lgg::obs {
 
 struct Session {
   Tracer tracer;
   Metrics metrics;
-  /// Annotate every Scope with a "wall_ms" arg (util::Stopwatch).  OFF by
-  /// default: wall-clock args make the exported trace machine-dependent,
-  /// breaking the byte-identical determinism contract.
-  bool wall_clock = false;
 };
 
 /// RAII span over a Session (no-op when the session is null).
@@ -56,8 +51,6 @@ class Scope {
   /// sibling can begin.
   void close() {
     if (session_ == nullptr) return;
-    if (session_->wall_clock && id_ != Tracer::kDropped)
-      session_->tracer.arg(id_, "wall_ms", format_number(wall_.elapsed_ms()));
     session_->tracer.end(id_);
     session_ = nullptr;
   }
@@ -94,7 +87,6 @@ class Scope {
  private:
   Session* session_;
   std::size_t id_ = Tracer::kDropped;
-  Stopwatch wall_;
 };
 
 // ---- gpusim aggregation helpers --------------------------------------

@@ -16,12 +16,7 @@
 // parent interval in open order — the serialized view of the pipeline.
 // Parallel-device quantities (e.g. a scheduled makespan, which overlaps
 // chunk kernels across SMs) are carried as span args, not as overlap.
-//
-// Wall-clock is deliberately OPTIONAL and off by default: obs::Scope can
-// annotate spans with a "wall_ms" arg (measured via util::Stopwatch, the
-// repo's only wall-clock source), which is useful interactively but
-// breaks byte-identical output — exporters include it only when the
-// session enabled it.
+// Host wall-clock never enters a trace.
 #pragma once
 
 #include <cstdint>

@@ -1,10 +1,12 @@
 #include "prof/diff.hpp"
 
+#include <regex.h>
+
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <map>
-#include <regex>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -49,6 +51,30 @@ Parsed parse(const std::string& text) {
   return out;
 }
 
+/// One compiled ignore pattern: a POSIX extended regex (the dialect of
+/// ci/prom_diff's awk match), freed on destruction.
+class IgnorePattern {
+ public:
+  explicit IgnorePattern(const std::string& pattern) {
+    const int rc = regcomp(&re_, pattern.c_str(), REG_EXTENDED | REG_NOSUB);
+    if (rc != 0) {
+      char msg[128];
+      regerror(rc, &re_, msg, sizeof(msg));
+      throw Error("lgg_prof: bad ignore regex '" + pattern + "': " + msg);
+    }
+  }
+  ~IgnorePattern() { regfree(&re_); }
+  IgnorePattern(const IgnorePattern&) = delete;
+  IgnorePattern& operator=(const IgnorePattern&) = delete;
+
+  [[nodiscard]] bool matches(const std::string& key) const {
+    return regexec(&re_, key.c_str(), 0, nullptr, 0) == 0;
+  }
+
+ private:
+  regex_t re_{};
+};
+
 std::string fmt(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.10g", v);
@@ -59,18 +85,11 @@ std::string fmt(double v) {
 
 DiffResult diff_profile_text(const std::string& a, const std::string& b,
                              const DiffOptions& opts) {
-  std::vector<std::regex> ignore;
-  ignore.reserve(opts.ignore.size());
-  for (const std::string& pat : opts.ignore) {
-    try {
-      ignore.emplace_back(pat);
-    } catch (const std::regex_error& e) {
-      throw Error("lgg_prof: bad ignore regex '" + pat + "': " + e.what());
-    }
-  }
+  std::deque<IgnorePattern> ignore;  // not movable: no vector
+  for (const std::string& pat : opts.ignore) ignore.emplace_back(pat);
   auto ignored = [&](const std::string& key) {
-    for (const std::regex& re : ignore)
-      if (std::regex_search(key, re)) return true;
+    for (const IgnorePattern& re : ignore)
+      if (re.matches(key)) return true;
     return false;
   };
 

@@ -14,7 +14,8 @@ namespace lgg::prof {
 struct DiffOptions {
   double rtol = 0.0;
   double atol = 0.0;
-  /// ECMAScript regexes; a key matching any of them is skipped entirely.
+  /// POSIX extended regexes (ERE, as ci/prom_diff); a key matching any
+  /// of them anywhere is skipped entirely.
   std::vector<std::string> ignore;
 };
 

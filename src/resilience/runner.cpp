@@ -156,33 +156,14 @@ RunnerReport run_impl(const graph::Graph& g, const RunnerOptions& opts,
     driver->arg("verify", opts.verify);
   }
   // --- Algorithm 1 (or a catalog-resident plan of it) ---
-  core::AlsPrecomputed local_plan;
-  obs::Scope plan_span(cold_obs, "plan/chunking", "plan");
-  if (opts.prepared == nullptr) {
-    core::HybridOptions popts;
-    popts.device = &dev;
-    popts.metric = opts.metric;
-    local_plan = core::precompute_als(g, popts);
-  }
-  const core::AlsPrecomputed& plan =
-      opts.prepared != nullptr ? *opts.prepared : local_plan;
-  LGG_CHECK(plan.shared_mem_bits == dev.shared_mem_bits() &&
-                plan.metric == opts.metric,
-            "prepared ALS plan was built for a different device budget or "
-            "size metric");
+  const core::ChunkedPlan chunked =
+      core::plan_chunked_run(g, dev, opts.metric, opts.prepared, cold_obs,
+                             /*components_arg=*/false);
+  const core::AlsPrecomputed& plan = chunked.plan();
   const graph::ChunkingResult& chunking = plan.chunking;
   const std::size_t n_chunks = chunking.chunks.size();
   const std::vector<core::ChunkWork>& works = plan.works;
   const std::vector<std::uint64_t>& test_sizes = plan.chunk_tests;
-  // Resident plans amortize Algorithm 1: charge zero preprocessing.
-  const double preprocessing =
-      opts.prepared != nullptr ? 0.0 : plan.preprocessing_s;
-  plan_span.model_s(preprocessing);
-  if (plan_span) {
-    plan_span.arg("chunks", static_cast<std::uint64_t>(n_chunks));
-    if (opts.prepared != nullptr) plan_span.arg("prepared", true);
-  }
-  plan_span.close();
 
   // Checkpoint compatibility + state restore (after the plan exists, so
   // a plan mismatch is rejected BEFORE the session or injector mutate).
@@ -618,7 +599,8 @@ RunnerReport run_impl(const graph::Graph& g, const RunnerOptions& opts,
   if (ck != nullptr && opts.obs != nullptr)
     opts.obs->tracer.charge_s(cal::kDispatchOverheadS +
                               cal::kDeviceInitOverheadS);
-  report.total_time_s = preprocessing + report.device.host_to_device.time_s +
+  report.total_time_s = chunked.preprocessing_s() +
+                        report.device.host_to_device.time_s +
                         cal::kDispatchOverheadS + cal::kDeviceInitOverheadS +
                         report.makespan_s + host_time_s + stats.backoff_s;
   report.device.total_time_s = report.total_time_s;

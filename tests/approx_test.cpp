@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <numeric>
 
 #include "core/approx.hpp"
 #include "core/triangle_cpu.hpp"
@@ -79,46 +78,6 @@ TEST(WedgeSampling, WedgeCountMatchesDegreeFormula) {
   const Graph g = graph::star(10);  // C(9,2) = 36 wedges at the centre
   const WedgeSampleResult r = wedge_sampling_estimate(g, 10, 1);
   EXPECT_EQ(r.total_wedges, 36u);
-}
-
-TEST(MinHash, ParameterValidation) {
-  EXPECT_THROW(local_triangles_minhash(Graph(3), 0, 1), lgg::Error);
-}
-
-TEST(MinHash, ZeroOnTriangleFreeGraphIsSmall) {
-  const Graph g = graph::complete_bipartite(8, 8);
-  const auto est = local_triangles_minhash(g, 48, 5);
-  // Estimates are noisy but must stay far below the degree scale.
-  for (const double e : est) EXPECT_LT(e, 4.0);
-}
-
-TEST(MinHash, TracksTruthOnClusteredGraph) {
-  // K10: every vertex sits in C(9,2) = 36 triangles; neighbourhood
-  // similarity is high and min-hash should see it.
-  const Graph g = graph::complete(10);
-  const auto est = local_triangles_minhash(g, 96, 7);
-  const auto truth = triangles_per_vertex(g);
-  for (graph::Vertex v = 0; v < 10; ++v) {
-    EXPECT_GT(est[v], 0.4 * static_cast<double>(truth[v]));
-    EXPECT_LT(est[v], 1.6 * static_cast<double>(truth[v]));
-  }
-}
-
-TEST(MinHash, GlobalSumCorrelatesWithTriangleMass) {
-  // Compare a clustered graph against an equally dense random one: the
-  // clustered graph must get the (much) larger estimate mass.
-  Graph clustered = graph::complete(14);
-  for (int i = 0; i < 3; ++i)
-    clustered = graph::disjoint_union(clustered, graph::complete(14));
-  const Graph random_g = graph::gnm(clustered.num_vertices(),
-                                    clustered.num_edges(), 31);
-  auto mass = [](const std::vector<double>& v) {
-    return std::accumulate(v.begin(), v.end(), 0.0);
-  };
-  const double clustered_mass =
-      mass(local_triangles_minhash(clustered, 64, 3));
-  const double random_mass = mass(local_triangles_minhash(random_g, 64, 3));
-  EXPECT_GT(clustered_mass, 2.0 * random_mass);
 }
 
 }  // namespace

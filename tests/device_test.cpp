@@ -31,7 +31,7 @@ TEST(Device, C2050MatchesTableI) {
 }
 
 TEST(Device, C2070MatchesTableI) {
-  const DeviceSpec& d = tesla_c2070();
+  const DeviceSpec& d = device_by_name("C2070");
   EXPECT_EQ(d.cores, 448u);
   EXPECT_EQ(d.global_mem_bytes, 6ull * 1024 * 1024 * 1024);
   EXPECT_EQ(d.shared_mem_bytes, 48u * 1024);
@@ -48,7 +48,7 @@ TEST(Device, KnownDevicesTableIOrder) {
 
 TEST(Device, LookupByNameCaseInsensitive) {
   EXPECT_EQ(&device_by_name("c1060"), &tesla_c1060());
-  EXPECT_EQ(&device_by_name("C2070"), &tesla_c2070());
+  EXPECT_EQ(&device_by_name("C2070"), &known_devices()[2]);
   EXPECT_THROW(device_by_name("GTX480"), lgg::Error);
 }
 

@@ -191,14 +191,6 @@ void subgraph_runs(Printer& out, const graph::Graph& g) {
           opts.obs = s;
           kcount_fields(o, core::count_kcliques_gpu(g, 4, opts));
         });
-    run(out, "connected k=3 cap=" + std::to_string(cap),
-        [&](obs::Session* s, prof::Profiler*, Printer& o) {
-          core::GpuKCountOptions opts;
-          opts.max_simulated_tests = cap;
-          opts.sancheck = sancheck::SancheckMode::kReport;
-          opts.obs = s;
-          kcount_fields(o, core::count_connected_subgraphs_gpu(g, 3, opts));
-        });
     run(out, "listing cap=" + std::to_string(cap),
         [&](obs::Session* s, prof::Profiler*, Printer& o) {
           core::GpuKCountOptions opts;

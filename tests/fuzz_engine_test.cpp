@@ -4,7 +4,6 @@
 // and the bit-identical-findings-log determinism contract.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <sstream>
 
 #include "lgg.hpp"
@@ -237,9 +236,7 @@ TEST(FuzzEngine, ClassifiesBrokenInvariant) {
 // --- the acceptance demo: detect, shrink, emit, replay -------------------
 
 TEST(FuzzEngine, DetectsShrinksAndReproducesInjectedFault) {
-  const auto corpus_dir = std::filesystem::temp_directory_path() /
-                          "lgg_fuzz_engine_test_corpus";
-  std::filesystem::remove_all(corpus_dir);
+  const util::TempPath corpus_dir = util::TempPath::dir("lgg-fuzz-corpus");
 
   EngineOptions opts;
   opts.master_seed = 2026;
@@ -247,7 +244,7 @@ TEST(FuzzEngine, DetectsShrinksAndReproducesInjectedFault) {
   opts.max_findings = 1;
   opts.paths = {broken_degree4_path()};
   opts.policies = {gpusim::ExecPolicy::serial()};
-  opts.corpus_dir = corpus_dir.string();
+  opts.corpus_dir = corpus_dir.path();
 
   const auto result = run_campaign(opts);
   ASSERT_EQ(result.findings.size(), 1u) << result.log;
@@ -269,8 +266,6 @@ TEST(FuzzEngine, DetectsShrinksAndReproducesInjectedFault) {
   EXPECT_EQ(repro.graph.num_vertices(), 5u);
   EXPECT_EQ(repro.oracle, oracle_triangles(repro.graph));
   EXPECT_FALSE(check_graph(repro.graph, repro.spec, opts).empty());
-
-  std::filesystem::remove_all(corpus_dir);
 }
 
 // --- determinism ---------------------------------------------------------

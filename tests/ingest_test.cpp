@@ -25,6 +25,7 @@
 #include "fuzz/spec.hpp"
 #include "util/error.hpp"
 #include "util/prng.hpp"
+#include "util/temp_path.hpp"
 
 namespace lgg::ingest {
 namespace {
@@ -184,7 +185,8 @@ TEST(IngestErrors, FirstMalformedLineWinsAcrossChunks) {
 
 TEST(IngestFile, LoadsWhatItWrites) {
   const Graph g = graph::gnm(200, 900, 5);
-  const std::string path = ::testing::TempDir() + "/lgg_ingest_file.txt";
+  const util::TempPath file = util::TempPath::file("lgg-ingest");
+  const std::string& path = file.path();
   graph::write_snap_edge_list_file(path, g, "ingest file test");
 
   const LoadedGraph want = graph::read_snap_edge_list_file(path);

@@ -6,6 +6,7 @@
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "util/error.hpp"
+#include "util/temp_path.hpp"
 
 namespace lgg::graph {
 namespace {
@@ -65,7 +66,8 @@ TEST(SnapIo, WriteIncludesHeaderCounts) {
 
 TEST(SnapIo, FileRoundTrip) {
   const Graph g = complete(5);
-  const std::string path = ::testing::TempDir() + "/lgg_io_test_k5.txt";
+  const util::TempPath file = util::TempPath::file("lgg-io");
+  const std::string& path = file.path();
   write_snap_edge_list_file(path, g, "K5");
   const LoadedGraph loaded = read_snap_edge_list_file(path);
   EXPECT_EQ(loaded.graph.num_vertices(), 5u);
@@ -76,7 +78,8 @@ TEST(SnapIo, FileRoundTrip) {
 // always parse with the defaults, so pad_to_declared_nodes silently did
 // nothing for files (while working for streams).
 TEST(SnapIo, FileOverloadHonoursReadOptions) {
-  const std::string path = ::testing::TempDir() + "/lgg_io_test_pad.txt";
+  const util::TempPath file = util::TempPath::file("lgg-io");
+  const std::string& path = file.path();
   {
     std::ofstream out(path);
     out << "# Nodes: 9 Edges: 2\n0 1\n1 2\n";

@@ -30,6 +30,7 @@ TEST(KCliques, KnownValues) {
 
 TEST(KCliques, ZeroKThrows) {
   EXPECT_THROW(count_kcliques(Graph(3), 0), lgg::Error);
+  EXPECT_THROW(count_kcliques_als(Graph(2), 0), lgg::Error);
 }
 
 class KCliqueAlsAgreement : public ::testing::TestWithParam<std::uint32_t> {};
@@ -47,79 +48,6 @@ TEST_P(KCliqueAlsAgreement, PaperStyleMatchesOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(K, KCliqueAlsAgreement, ::testing::Values(1, 2, 3, 4, 5));
-
-// ---- independent sets ----
-
-TEST(IndependentSets, KnownValues) {
-  // Empty graph on n vertices: C(n, k) independent sets.
-  EXPECT_EQ(count_independent_sets(Graph(8), 3), binomial(8, 3));
-  // Complete graph: none beyond k=1.
-  EXPECT_EQ(count_independent_sets(graph::complete(6), 2), 0u);
-  EXPECT_EQ(count_independent_sets(graph::complete(6), 1), 6u);
-  // K_{a,b}: independent k-sets live entirely in one side.
-  EXPECT_EQ(count_independent_sets(graph::complete_bipartite(4, 5), 3),
-            binomial(4, 3) + binomial(5, 3));
-  // C5: independent pairs = C(5,2) - 5 edges = 5.
-  EXPECT_EQ(count_independent_sets(graph::cycle(5), 2), 5u);
-}
-
-TEST(IndependentSets, ComplementDuality) {
-  // Independent sets of G = cliques of the complement.
-  const Graph g = graph::erdos_renyi(18, 0.5, 4);
-  std::vector<graph::Edge> comp_edges;
-  for (graph::Vertex u = 0; u < 18; ++u)
-    for (graph::Vertex v = u + 1; v < 18; ++v)
-      if (!g.has_edge(u, v)) comp_edges.emplace_back(u, v);
-  const Graph complement = Graph::from_edges(18, comp_edges);
-  for (std::uint32_t k = 2; k <= 4; ++k)
-    EXPECT_EQ(count_independent_sets(g, k), count_kcliques(complement, k))
-        << k;
-}
-
-// ---- connected subgraphs ----
-
-TEST(ConnectedSubgraphs, KnownValues) {
-  // Path P_n: connected k-subsets are exactly the n-k+1 subpaths.
-  EXPECT_EQ(count_connected_subgraphs(graph::path(10), 4), 7u);
-  // Cycle C_n (k < n): n arcs of length k.
-  EXPECT_EQ(count_connected_subgraphs(graph::cycle(9), 3), 9u);
-  // Complete graph: every k-subset is connected.
-  EXPECT_EQ(count_connected_subgraphs(graph::complete(7), 4),
-            binomial(7, 4));
-  // Star: connected subsets must contain the centre.
-  EXPECT_EQ(count_connected_subgraphs(graph::star(8), 3), binomial(7, 2));
-  // k = 1: one per vertex.
-  EXPECT_EQ(count_connected_subgraphs(graph::path(5), 1), 5u);
-  // Disconnected pieces never mix.
-  EXPECT_EQ(count_connected_subgraphs(
-                graph::disjoint_union(graph::path(4), graph::path(4)), 2),
-            6u);
-}
-
-class ConnSubgraphAgreement : public ::testing::TestWithParam<std::uint32_t> {};
-
-TEST_P(ConnSubgraphAgreement, PaperStyleMatchesEsu) {
-  const std::uint32_t k = GetParam();
-  for (const std::uint64_t seed : {3ull, 8ull}) {
-    const Graph g = graph::erdos_renyi(18, 0.2, seed);
-    EXPECT_EQ(count_connected_subgraphs_als(g, k),
-              count_connected_subgraphs(g, k))
-        << "k=" << k << " seed=" << seed;
-  }
-  const Graph grid = graph::grid2d(3, 4);
-  EXPECT_EQ(count_connected_subgraphs_als(grid, k),
-            count_connected_subgraphs(grid, k));
-}
-
-INSTANTIATE_TEST_SUITE_P(K, ConnSubgraphAgreement,
-                         ::testing::Values(1, 2, 3, 4));
-
-TEST(ConnectedSubgraphs, ZeroKThrows) {
-  EXPECT_THROW(count_connected_subgraphs(Graph(2), 0), lgg::Error);
-  EXPECT_THROW(count_connected_subgraphs_als(Graph(2), 0), lgg::Error);
-  EXPECT_THROW(count_kcliques_als(Graph(2), 0), lgg::Error);
-  EXPECT_THROW(count_independent_sets(Graph(2), 0), lgg::Error);
-}
 
 }  // namespace
 }  // namespace lgg::core

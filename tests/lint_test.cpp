@@ -235,14 +235,12 @@ TEST(PlanFootprint, BfsProvesCleanAndRefutesMissingWorkers) {
 
 TEST(PlanFootprint, SubgraphProvesCleanAndRefutesBadIndexBound) {
   const graph::Graph g = graph::layered_random(120, 16, 0.3, 0.1, 9);
-  for (const auto& [k, window] :
-       std::vector<std::pair<std::uint32_t, std::uint32_t>>{{3, 2}, {4, 4}}) {
-    auto spec = core::subgraph_footprint_spec(g, k, window);
+  for (const std::uint32_t k : {3u, 4u}) {
+    auto spec = core::subgraph_footprint_spec(g, k);
     EXPECT_EQ(spec.name, "gpu/subgraph");
-    EXPECT_TRUE(sancheck::lint_footprint(spec).clean())
-        << "k=" << k << " window=" << window;
+    EXPECT_TRUE(sancheck::lint_footprint(spec).clean()) << "k=" << k;
   }
-  auto spec = core::subgraph_footprint_spec(g, 3, 2);
+  auto spec = core::subgraph_footprint_spec(g, 3);
   ASSERT_FALSE(spec.blocks.empty());
   spec.blocks[0].bytes /= 4;  // matrix block cannot hold the last row
   EXPECT_FALSE(sancheck::lint_footprint(spec).contained);

@@ -81,10 +81,10 @@ TEST(CoreDecomposition, CoreNumbersAreCorrectBySubgraphCheck) {
   const Graph g = erdos_renyi(100, 0.08, 7);
   const CoreDecomposition d = core_decomposition(g);
   for (std::uint32_t k = 1; k <= d.degeneracy; ++k) {
-    const auto members = kcore_vertices(g, k);
     std::vector<bool> in(g.num_vertices(), false);
-    for (const Vertex v : members) in[v] = true;
-    for (const Vertex v : members) {
+    for (Vertex v = 0; v < g.num_vertices(); ++v) in[v] = d.core[v] >= k;
+    for (Vertex v = 0; v < g.num_vertices(); ++v) {
+      if (!in[v]) continue;
       std::size_t inside = 0;
       for (const Vertex u : g.neighbors(v))
         if (in[u]) ++inside;
@@ -96,9 +96,9 @@ TEST(CoreDecomposition, CoreNumbersAreCorrectBySubgraphCheck) {
 
 TEST(KCore, TrianglesLiveInTwoCore) {
   const Graph g = erdos_renyi(80, 0.05, 19);
-  const auto two_core = kcore_vertices(g, 2);
+  const CoreDecomposition d = core_decomposition(g);
   std::vector<bool> in(g.num_vertices(), false);
-  for (const Vertex v : two_core) in[v] = true;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) in[v] = d.core[v] >= 2;
   // Any edge with both endpoints of degree >= 2 inside triangles...
   // direct check: every triangle's vertices are in the 2-core.
   for (Vertex u = 0; u < g.num_vertices(); ++u)

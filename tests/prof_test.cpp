@@ -266,6 +266,25 @@ TEST(ProfDiff, ReportsValueMismatchDeterministically) {
   EXPECT_NE(r.diffs[1].find("z"), std::string::npos);
 }
 
+TEST(ProfDiff, IgnoreAlternationSkipsEitherBranch) {
+  const std::string a = "a_total 1\nb_total 2\nc_total 3\n";
+  const std::string b = "a_total 7\nb_total 8\nc_total 3\n";
+  prof::DiffOptions ign;
+  ign.ignore = {"a|b"};
+  EXPECT_TRUE(prof::diff_profile_text(a, b, ign).equal);
+  ign.ignore = {"^(a|c)_"};
+  const prof::DiffResult r = prof::diff_profile_text(a, b, ign);
+  ASSERT_EQ(r.diffs.size(), 1u);
+  EXPECT_NE(r.diffs[0].find("b_total"), std::string::npos);
+}
+
+TEST(ProfDiff, InvalidIgnorePatternThrows) {
+  prof::DiffOptions bad;
+  bad.ignore = {"("};
+  EXPECT_THROW((void)prof::diff_profile_text("x 1\n", "x 1\n", bad),
+               lgg::Error);
+}
+
 TEST(ProfObs, SpanCapDropsAreObservable) {
   obs::Tracer t;
   t.set_span_cap(1);

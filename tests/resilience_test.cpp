@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -523,7 +522,7 @@ resilience::RunnerOptions checkpoint_opts(FaultInjector& inj,
 TEST(CheckpointResume, ByteIdenticalAfterKillAtAnyThreadCount) {
   using checkpointing::Kill;
   const graph::Graph g = chunked_graph();
-  const std::string dir = ::testing::TempDir();
+  const util::TempPath dir = util::TempPath::dir("lgg-ckpt");
 
   // Uninterrupted reference, serial policy, checkpointing ON (the cadence
   // leaves spans and counters that a resumed run must reproduce).
@@ -531,13 +530,13 @@ TEST(CheckpointResume, ByteIdenticalAfterKillAtAnyThreadCount) {
   FaultInjector ref_inj(99, FaultRates::uniform(0.1));
   const auto ref_report = resilience::run_resilient(
       g, checkpointing::checkpoint_opts(ref_inj, ref_sess,
-                                        dir + "lggckpt_ref.ckpt"));
+                                        dir.path() + "/ref.ckpt"));
   const auto ref = checkpointing::artifacts_of(ref_report, ref_sess);
   ASSERT_GE(ref_report.chunks.size(), 4u);  // the kill point must be mid-run
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
     const std::string path =
-        dir + "lggckpt_t" + std::to_string(threads) + ".ckpt";
+        dir.path() + "/t" + std::to_string(threads) + ".ckpt";
     {
       // The victim: dies right after the checkpoint for chunk 1 lands.
       obs::Session sess;
@@ -568,7 +567,8 @@ TEST(CheckpointResume, ByteIdenticalAfterKillAtAnyThreadCount) {
 TEST(CheckpointResume, TamperedOrTruncatedCheckpointIsTypedThenColdRunWorks) {
   using checkpointing::Kill;
   const graph::Graph g = chunked_graph();
-  const std::string path = ::testing::TempDir() + "lggckpt_tamper.ckpt";
+  const util::TempPath dir = util::TempPath::dir("lgg-ckpt");
+  const std::string path = dir.path() + "/tamper.ckpt";
   {
     obs::Session sess;
     FaultInjector inj(99, FaultRates::uniform(0.1));
@@ -618,13 +618,12 @@ TEST(CheckpointResume, TamperedOrTruncatedCheckpointIsTypedThenColdRunWorks) {
   const auto report = resilience::run_resilient(g, opts);
   EXPECT_EQ(report.triangles, core::count_triangles_forward(g));
   EXPECT_TRUE(report.certified);
-  std::remove(path.c_str());
 }
 
 TEST(CheckpointResume, MissingAndIncompatibleCheckpointsAreTyped) {
   using checkpointing::Kill;
   const graph::Graph g = chunked_graph();
-  const std::string dir = ::testing::TempDir();
+  const util::TempPath dir = util::TempPath::dir("lgg-ckpt");
 
   const auto expect_kind = [&](const resilience::RunnerOptions& opts,
                                const graph::Graph& graph,
@@ -644,12 +643,12 @@ TEST(CheckpointResume, MissingAndIncompatibleCheckpointsAreTyped) {
     obs::Session sess;
     FaultInjector inj(99, FaultRates::uniform(0.1));
     const auto opts = checkpointing::checkpoint_opts(
-        inj, sess, dir + "lggckpt_does_not_exist.ckpt");
+        inj, sess, dir.path() + "/does_not_exist.ckpt");
     expect_kind(opts, g, resilience::CheckpointError::Kind::kMissing);
   }
 
   // Take a real checkpoint to misuse below.
-  const std::string path = dir + "lggckpt_mismatch.ckpt";
+  const std::string path = dir.path() + "/mismatch.ckpt";
   {
     obs::Session sess;
     FaultInjector inj(99, FaultRates::uniform(0.1));
@@ -677,7 +676,6 @@ TEST(CheckpointResume, MissingAndIncompatibleCheckpointsAreTyped) {
     opts.threads_per_block = 64;
     expect_kind(opts, g, resilience::CheckpointError::Kind::kPlanMismatch);
   }
-  std::remove(path.c_str());
 }
 
 // ----------------------------------------------------------- fault campaign

@@ -346,7 +346,6 @@ TEST(StrictShipping, SubgraphKernelsCleanUnderStrict) {
   core::GpuKCountOptions opts;
   opts.sancheck = SancheckMode::kStrict;
   EXPECT_NO_THROW(core::count_kcliques_gpu(g, 4, opts));
-  EXPECT_NO_THROW(core::count_connected_subgraphs_gpu(g, 3, opts));
   EXPECT_NO_THROW(core::list_triangles_gpu(g, opts));
   opts.exec = gpusim::ExecPolicy::serial();
   opts.max_simulated_tests = 3000;  // sampled path

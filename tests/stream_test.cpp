@@ -3,25 +3,29 @@
 #include <fstream>
 #include <string>
 
-#include <unistd.h>
-
 #include "core/triangle_cpu.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "stream/edge_stream.hpp"
 #include "stream/streaming_triangles.hpp"
 #include "util/error.hpp"
+#include "util/temp_path.hpp"
 
 namespace lgg::stream {
 namespace {
 
-/// Writes `g` to a temp file whose name carries the process id: ctest -j
-/// runs each parameterised case as its own process, all sharing TempDir().
-std::string write_temp_graph(const graph::Graph& g, const std::string& name) {
-  const std::string path =
-      ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
-  graph::write_snap_edge_list_file(path, g, "stream test");
-  return path;
+/// Writes `g` to a fresh temp file, removed when the result is destroyed.
+util::TempPath write_temp_graph(const graph::Graph& g) {
+  util::TempPath file = util::TempPath::file("lgg-stream");
+  graph::write_snap_edge_list_file(file.path(), g, "stream test");
+  return file;
+}
+
+/// Writes `text` verbatim to a fresh temp file.
+util::TempPath write_temp_text(const std::string& text) {
+  util::TempPath file = util::TempPath::file("lgg-stream");
+  std::ofstream(file.path()) << text;
+  return file;
 }
 
 TEST(EdgeStream, MissingFileThrows) {
@@ -30,7 +34,8 @@ TEST(EdgeStream, MissingFileThrows) {
 
 TEST(EdgeStream, StatsAndIteration) {
   const graph::Graph g = graph::erdos_renyi(50, 0.1, 3);
-  const EdgeStream stream(write_temp_graph(g, "es_basic.txt"));
+  const util::TempPath file = write_temp_graph(g);
+  const EdgeStream stream(file.path());
   std::uint64_t visited = 0;
   const StreamStats pass =
       stream.for_each_edge([&](std::uint64_t, std::uint64_t) { ++visited; });
@@ -40,23 +45,15 @@ TEST(EdgeStream, StatsAndIteration) {
 }
 
 TEST(EdgeStream, SkipsCommentsAndLoops) {
-  const std::string path = ::testing::TempDir() + "/es_loops.txt";
-  {
-    std::ofstream out(path);
-    out << "# header\n1 1\n1 2\n\n2 3\n";
-  }
-  const EdgeStream stream(path);
+  const util::TempPath file = write_temp_text("# header\n1 1\n1 2\n\n2 3\n");
+  const EdgeStream stream(file.path());
   EXPECT_EQ(stream.stats().edges, 2u);
   EXPECT_EQ(stream.stats().max_vertex, 3u);
 }
 
 TEST(EdgeStream, MalformedLineThrows) {
-  const std::string path = ::testing::TempDir() + "/es_bad.txt";
-  {
-    std::ofstream out(path);
-    out << "1 2\noops\n";
-  }
-  const EdgeStream stream(path);
+  const util::TempPath file = write_temp_text("1 2\noops\n");
+  const EdgeStream stream(file.path());
   EXPECT_THROW(stream.for_each_edge({}), lgg::Error);
 }
 
@@ -66,7 +63,8 @@ TEST_P(ExternalCount, ExactUnderAnyBudget) {
   const std::uint64_t budget = GetParam();
   const graph::Graph g = graph::erdos_renyi(120, 0.08, 7);
   const std::uint64_t want = core::count_triangles_forward(g);
-  const EdgeStream stream(write_temp_graph(g, "es_budget.txt"));
+  const util::TempPath file = write_temp_graph(g);
+  const EdgeStream stream(file.path());
   const ExternalCountResult r = count_triangles_external(stream, budget);
   EXPECT_EQ(r.triangles, want) << "budget " << budget;
   EXPECT_GE(r.intervals, 1u);
@@ -78,7 +76,8 @@ INSTANTIATE_TEST_SUITE_P(Budgets, ExternalCount,
 
 TEST(ExternalCount, SmallerBudgetMorePassesLessMemory) {
   const graph::Graph g = graph::barabasi_albert(300, 4, 5);
-  const EdgeStream stream(write_temp_graph(g, "es_tradeoff.txt"));
+  const util::TempPath file = write_temp_graph(g);
+  const EdgeStream stream(file.path());
   const ExternalCountResult big = count_triangles_external(stream, 1u << 20);
   const ExternalCountResult small = count_triangles_external(stream, 64);
   EXPECT_EQ(big.triangles, small.triangles);
@@ -93,31 +92,30 @@ TEST(ExternalCount, StructuredGraphs) {
            {graph::complete(12), 220u},
            {graph::cycle(9), 0u},
            {graph::complete_bipartite(5, 5), 0u}}) {
-    const EdgeStream stream(write_temp_graph(g, "es_structured.txt"));
+    const util::TempPath file = write_temp_graph(g);
+    const EdgeStream stream(file.path());
     EXPECT_EQ(count_triangles_external(stream, 30).triangles, want);
   }
 }
 
 TEST(ExternalCount, EmptyStream) {
-  const std::string path = ::testing::TempDir() + "/es_empty.txt";
-  {
-    std::ofstream out(path);
-    out << "# nothing\n";
-  }
-  const EdgeStream stream(path);
+  const util::TempPath file = write_temp_text("# nothing\n");
+  const EdgeStream stream(file.path());
   const ExternalCountResult r = count_triangles_external(stream, 100);
   EXPECT_EQ(r.triangles, 0u);
 }
 
 TEST(ExternalCount, TinyBudgetRejected) {
   const graph::Graph g = graph::complete(4);
-  const EdgeStream stream(write_temp_graph(g, "es_tiny.txt"));
+  const util::TempPath file = write_temp_graph(g);
+  const EdgeStream stream(file.path());
   EXPECT_THROW(count_triangles_external(stream, 2), lgg::Error);
 }
 
 TEST(DoulionStream, ExactAtPOne) {
   const graph::Graph g = graph::erdos_renyi(100, 0.1, 11);
-  const EdgeStream stream(write_temp_graph(g, "es_doulion.txt"));
+  const util::TempPath file = write_temp_graph(g);
+  const EdgeStream stream(file.path());
   const StreamDoulionResult r = doulion_stream(stream, 1.0, 3);
   EXPECT_EQ(r.kept_edges, g.num_edges());
   EXPECT_DOUBLE_EQ(r.estimate,
@@ -127,7 +125,8 @@ TEST(DoulionStream, ExactAtPOne) {
 TEST(DoulionStream, SampledEstimateInRange) {
   const graph::Graph g = graph::barabasi_albert(600, 6, 13);
   const auto truth = static_cast<double>(core::count_triangles_forward(g));
-  const EdgeStream stream(write_temp_graph(g, "es_doulion2.txt"));
+  const util::TempPath file = write_temp_graph(g);
+  const EdgeStream stream(file.path());
   double sum = 0;
   const int runs = 20;
   for (int s = 0; s < runs; ++s)
@@ -137,7 +136,8 @@ TEST(DoulionStream, SampledEstimateInRange) {
 
 TEST(DoulionStream, ValidatesP) {
   const graph::Graph g = graph::complete(4);
-  const EdgeStream stream(write_temp_graph(g, "es_doulion3.txt"));
+  const util::TempPath file = write_temp_graph(g);
+  const EdgeStream stream(file.path());
   EXPECT_THROW(doulion_stream(stream, 0.0, 1), lgg::Error);
   EXPECT_THROW(doulion_stream(stream, 1.0001, 1), lgg::Error);
 }

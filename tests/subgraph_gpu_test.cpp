@@ -47,28 +47,6 @@ TEST(GpuKCliques, StructuredGraphs) {
             count_triangles_edge_iterator(g));
 }
 
-class GpuConnSubgraphs : public ::testing::TestWithParam<std::uint32_t> {};
-
-TEST_P(GpuConnSubgraphs, MatchesEsu) {
-  const std::uint32_t k = GetParam();
-  const Graph g = graph::erdos_renyi(20, 0.2, 5);
-  const GpuKCountResult r = count_connected_subgraphs_gpu(g, k, small_launch());
-  EXPECT_TRUE(r.exact);
-  EXPECT_EQ(r.count, count_connected_subgraphs(g, k)) << "k=" << k;
-}
-
-INSTANTIATE_TEST_SUITE_P(K, GpuConnSubgraphs, ::testing::Values(1, 2, 3, 4));
-
-TEST(GpuConnSubgraphs, PathsAndGrids) {
-  EXPECT_EQ(count_connected_subgraphs_gpu(graph::path(12), 3, small_launch())
-                .count,
-            10u);
-  const Graph grid = graph::grid2d(3, 3);
-  EXPECT_EQ(
-      count_connected_subgraphs_gpu(grid, 3, small_launch()).count,
-      count_connected_subgraphs(grid, 3));
-}
-
 TEST(GpuKCount, SamplingRescalesAndFlags) {
   const Graph g = graph::erdos_renyi(60, 0.3, 9);
   GpuKCountOptions opts = small_launch();

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <fstream>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -12,6 +14,7 @@
 #include "util/error.hpp"
 #include "util/prng.hpp"
 #include "util/table.hpp"
+#include "util/temp_path.hpp"
 #include "util/thread_pool.hpp"
 
 namespace lgg {
@@ -384,6 +387,29 @@ TEST(ThreadPool, ReusableAfterException) {
     total.fetch_add(static_cast<int>(hi - lo));
   });
   EXPECT_EQ(total.load(), 100);
+}
+
+// ---------- temp paths ----------
+
+TEST(TempPath, UniquePerCallAndRemovedOnDestruction) {
+  namespace fs = std::filesystem;
+  std::string file_path, dir_path, nested;
+  {
+    const util::TempPath a = util::TempPath::file("lgg-util-test");
+    const util::TempPath b = util::TempPath::file("lgg-util-test");
+    const util::TempPath dir = util::TempPath::dir("lgg-util-test");
+    EXPECT_NE(a.path(), b.path());
+    EXPECT_TRUE(fs::is_regular_file(a.path()));
+    EXPECT_TRUE(fs::is_directory(dir.path()));
+    file_path = a.path();
+    dir_path = dir.path();
+    nested = dir.path() + "/inside.txt";
+    std::ofstream(nested) << "x";
+    ASSERT_TRUE(fs::exists(nested));
+  }
+  EXPECT_FALSE(fs::exists(file_path));
+  EXPECT_FALSE(fs::exists(dir_path));
+  EXPECT_FALSE(fs::exists(nested));
 }
 
 }  // namespace

@@ -7,9 +7,10 @@
 // "<key> <value>" sample per line, '#' comments skipped) with the
 // ci/prom_diff contract: samples match iff |a - b| <= atol + rtol *
 // max(|a|, |b|); keys present on only one side always differ; --ignore
-// skips keys matching the regex (repeatable).  With no tolerances the
-// comparison is exact — the determinism gate: a threads-1 and a
-// threads-8 profile of the same workload must diff clean.
+// skips keys matching the POSIX extended regex (ERE, as in ci/prom_diff;
+// repeatable).  With no tolerances the comparison is exact — the
+// determinism gate: a threads-1 and a threads-8 profile of the same
+// workload must diff clean.
 //
 // Exit codes: 0 no differences, 1 differences found, 2 usage/IO error.
 #include <cstdlib>
