@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# One-command local CI: configure/build/test the default preset, a
-# time-boxed deterministic fuzz smoke campaign, the serve stage (serving
-# suites + golden + thread-count byte-identity), the prof stage (profiler
+# One-command local CI: configure/build/test the default preset (once,
+# then three times under ctest -j4), a time-boxed deterministic fuzz
+# smoke campaign, the serve stage (serving suites + golden +
+# thread-count byte-identity), the prof stage (profiler
 # suites + golden profile-tree + lgg_prof diff gate), the bench stage
 # (bench_smoke vs the committed baseline via ci/bench_diff), the
 # address+UB-sanitized preset, the thread-sanitized preset (concurrency
@@ -45,6 +46,11 @@ cmake --build --preset default -j "$JOBS"
 
 step "default: full test suite"
 ctest --test-dir build --output-on-failure "${CTEST_ARGS[@]+"${CTEST_ARGS[@]}"}"
+
+step "default: full test suite three times under ctest -j4"
+# Tier-1 must be hermetic: no test may depend on another's files or on
+# running alone, so the suite passes repeatedly in parallel.
+ctest --test-dir build -j4 --repeat until-fail:3 --output-on-failure
 
 step "fuzz: 30s deterministic differential smoke campaign"
 # Fixed master seed: any finding here is reproducible from the emitted

@@ -21,16 +21,15 @@ std::uint64_t als_total_tests(std::uint32_t s, std::uint32_t x_max) noexcept {
 
 AlsPlan build_als_plan(const graph::Graph& g) {
   AlsPlan plan;
-  const graph::Components comps = graph::connected_components(g);
-  plan.num_components = comps.count;
+  const std::vector<graph::LevelDecomposition> components =
+      graph::component_levels(g);
+  plan.num_components = components.size();
 
-  for (std::uint32_t c = 0; c < comps.count; ++c) {
-    const std::vector<graph::Vertex> members = comps.vertices_of(c);
-    const graph::BfsTree tree = graph::bfs(g, members.front());
+  for (std::uint32_t c = 0; c < components.size(); ++c) {
+    const graph::LevelDecomposition& levels = components[c];
     // BFS touches each component edge twice plus each vertex once.
-    for (const graph::Vertex v : members)
-      plan.bfs_edges_visited += g.degree(v);
-    const graph::LevelDecomposition levels(tree);
+    for (const auto& level : levels.levels())
+      for (const graph::Vertex v : level) plan.bfs_edges_visited += g.degree(v);
     for (const graph::AdjacentLevelSet& als :
          graph::adjacent_level_sets(levels)) {
       AlsJob job;

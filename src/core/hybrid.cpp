@@ -297,13 +297,12 @@ AlsPrecomputed build_plan(const graph::Graph& g,
   copts.shared_mem_bits = plan.shared_mem_bits;
   copts.metric = metric;
   plan.chunking = graph::split_into_chunks(g, copts);
-  plan.levels.reserve(plan.chunking.trees.size());
-  for (const auto& tree : plan.chunking.trees) plan.levels.emplace_back(tree);
 
   plan.works.reserve(plan.chunking.chunks.size());
   plan.chunk_tests.reserve(plan.chunking.chunks.size());
   for (const graph::Chunk& chunk : plan.chunking.chunks) {
-    plan.works.push_back(build_chunk_work(chunk, plan.levels[chunk.component]));
+    plan.works.push_back(
+        build_chunk_work(chunk, plan.chunking.levels[chunk.component]));
     plan.chunk_tests.push_back(plan.works.back().tests);
     plan.total_tests += plan.works.back().tests;
   }
@@ -340,7 +339,7 @@ ChunkedPlan plan_chunked_run(const graph::Graph& g,
              static_cast<std::uint64_t>(plan.chunking.chunks.size()));
     if (components_arg)
       span.arg("components",
-               static_cast<std::uint64_t>(plan.chunking.trees.size()));
+               static_cast<std::uint64_t>(plan.chunking.levels.size()));
     if (prepared != nullptr) span.arg("prepared", true);
   }
   return out;

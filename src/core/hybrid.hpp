@@ -130,10 +130,9 @@ ChunkWork build_chunk_work(const graph::Chunk& chunk,
 /// preprocessing cost disappears.  This is the artifact the serving
 /// catalog keeps resident per graph (DESIGN.md §15).
 struct AlsPrecomputed {
-  graph::ChunkingResult chunking;
-  std::vector<graph::LevelDecomposition> levels;  // per component
-  std::vector<ChunkWork> works;                   // per chunk
-  std::vector<std::uint64_t> chunk_tests;         // works[i].tests
+  graph::ChunkingResult chunking;          // chunks + per-component levels
+  std::vector<ChunkWork> works;            // per chunk
+  std::vector<std::uint64_t> chunk_tests;  // works[i].tests
   std::uint64_t total_tests = 0;
   /// Plan inputs, recorded so consumers can check compatibility.
   std::uint64_t shared_mem_bits = 0;

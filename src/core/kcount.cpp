@@ -39,11 +39,7 @@ std::uint64_t cliques_rec(const Graph& g, const std::vector<Vertex>& cands,
 void for_each_window_combination(
     const Graph& g, std::uint32_t k,
     const std::function<void(std::span<const Vertex>)>& test) {
-  const graph::Components comps = graph::connected_components(g);
-  for (std::uint32_t c = 0; c < comps.count; ++c) {
-    const auto members = comps.vertices_of(c);
-    const graph::BfsTree tree = graph::bfs(g, members.front());
-    const graph::LevelDecomposition levels(tree);
+  for (const graph::LevelDecomposition& levels : graph::component_levels(g)) {
     const std::size_t d = levels.num_levels();
 
     std::vector<Vertex> window;

@@ -43,11 +43,7 @@ std::vector<WindowJob> build_windows(const Graph& g, std::uint32_t k,
                                      std::uint64_t& total_tests) {
   std::vector<WindowJob> windows;
   total_tests = 0;
-  const graph::Components comps = graph::connected_components(g);
-  for (std::uint32_t c = 0; c < comps.count; ++c) {
-    const auto members = comps.vertices_of(c);
-    const graph::BfsTree tree = graph::bfs(g, members.front());
-    const graph::LevelDecomposition levels(tree);
+  for (const graph::LevelDecomposition& levels : graph::component_levels(g)) {
     const std::size_t d = levels.num_levels();
     for (std::size_t i = 0; i < d; ++i) {
       WindowJob w;

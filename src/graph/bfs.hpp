@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -37,19 +38,25 @@ BfsTree bfs(const Graph& g, Vertex source);
 struct Components {
   std::vector<std::uint32_t> component_of;  // per vertex
   std::uint32_t count = 0;
+  /// Every vertex grouped by component id, ascending within a group;
+  /// component c owns members[offsets[c], offsets[c + 1]).
+  std::vector<Vertex> members;
+  std::vector<std::size_t> offsets;  // count + 1 entries
 
-  /// Vertices of component c, ascending.
-  [[nodiscard]] std::vector<Vertex> vertices_of(std::uint32_t c) const;
+  /// Vertices of component c, ascending (a view into `members`).
+  [[nodiscard]] std::span<const Vertex> vertices_of(std::uint32_t c) const;
 };
 Components connected_components(const Graph& g);
 
-/// The vertices of one BFS tree bucketed by level (paper's
+/// The vertices of one component bucketed by BFS level (paper's
 /// divIntoConsecutiveLvlSets).  Levels are vectors of vertex ids, ascending
 /// within each level.
 class LevelDecomposition {
  public:
   LevelDecomposition() = default;
-  explicit LevelDecomposition(const BfsTree& tree);
+  /// Adopts levels that are already bucketed, each ascending.
+  explicit LevelDecomposition(std::vector<std::vector<Vertex>> levels)
+      : levels_(std::move(levels)) {}
 
   [[nodiscard]] std::size_t num_levels() const noexcept {
     return levels_.size();
@@ -67,6 +74,52 @@ class LevelDecomposition {
  private:
   std::vector<std::vector<Vertex>> levels_;
 };
+
+/// Level-only BFS over one connected component at a time: no parents,
+/// a vector queue, and one workspace reused across walks.  A walk resets
+/// only the vertices the previous walk reached, so it costs
+/// O(component), not O(n).  Direction-optimizing (Beamer, Asanovic and
+/// Patterson, SC'12): a level is expanded bottom-up (every unreached
+/// component vertex looks for a neighbour on the frontier) while the
+/// frontier's edges outnumber both the unexplored edges / 14 and the
+/// component's edges / 24, and top-down again once a shrinking frontier
+/// holds under 1/24 of the component's vertices.  The second test keeps
+/// high-diameter graphs (paths, grids, layered graphs) top-down: their
+/// levels each hold a small share of the edges, even near the end of a
+/// walk where few edges are left unexplored.  The direction changes only
+/// which edges are scanned; every vertex's level is its hop distance from
+/// the root either way.
+class LevelWalker {
+ public:
+  explicit LevelWalker(const Graph& g);
+
+  /// BFS from `root` over `component`, the ascending vertex list of
+  /// root's component (Components::vertices_of).  Returns the number of
+  /// vertices on each level; the view is valid until the next walk.
+  std::span<const std::size_t> walk(Vertex root,
+                                    std::span<const Vertex> component);
+
+  /// Level of v in the last walk; kUnreached outside its component.
+  [[nodiscard]] std::uint32_t level_of(Vertex v) const noexcept {
+    return level_[v];
+  }
+
+  /// The last walk's levels, each filled in `component` order, so
+  /// ascending without a sort.
+  [[nodiscard]] LevelDecomposition decomposition(
+      std::span<const Vertex> component) const;
+
+ private:
+  const Graph& g_;
+  std::vector<std::uint32_t> level_;   // kUnreached but the last walk's
+  std::vector<Vertex> order_;          // the last walk's, level by level
+  std::vector<Vertex> unvisited_;      // bottom-up candidates
+  std::vector<std::size_t> sizes_;     // vertices per level
+};
+
+/// The level decomposition of every component, indexed by component id,
+/// each rooted at the component's smallest vertex.
+std::vector<LevelDecomposition> component_levels(const Graph& g);
 
 /// One adjacent level set: the two consecutive BFS levels Algorithm 2
 /// scans for triangles.  `second` is empty for the trailing single-level

@@ -49,9 +49,10 @@ struct Chunk {
 
 struct ChunkingResult {
   std::vector<Chunk> chunks;
-  /// BFS tree used for each component (indexed by component id); needed by
-  /// Algorithm 2 to form adjacent level sets within chunks.
-  std::vector<BfsTree> trees;
+  /// Level decomposition of each component (indexed by component id)
+  /// from the BFS root Algorithm 1 kept; Algorithm 2 forms the adjacent
+  /// level sets within chunks from it.
+  std::vector<LevelDecomposition> levels;
   /// Eq. 5 value achieved: number of chunks with bits > budget.
   std::size_t oversized_chunks = 0;
   /// Total unused shared-memory bits over chunks that do fit (fragmentation
@@ -66,7 +67,9 @@ std::uint64_t chunk_bits(std::uint64_t c, SizeMetric metric) noexcept;
 /// consecutive-level chunks.  Components whose whole footprint fits the
 /// budget become a single chunk.  For the rest, several BFS roots are
 /// tried and the split with the fewest oversized chunks (then least
-/// fragmentation) is kept.
+/// fragmentation) is kept.  A trial root is scored from its level sizes
+/// alone (one LevelWalker walk); levels and chunk vertex lists are built
+/// only for the winning root.
 ChunkingResult split_into_chunks(const Graph& g, const ChunkingOptions& opts);
 
 }  // namespace lgg::graph

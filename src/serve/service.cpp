@@ -347,7 +347,11 @@ std::vector<Response> Service::drain() {
     drain_span.arg("hits", hits);
   }
   ++drain_seq_;
-  log_ += log.str();
+  // Move the text out of the stream; the first drain adopts it whole.
+  if (log_.empty())
+    log_ = std::move(log).str();
+  else
+    log_ += std::move(log).str();
   return responses;
 }
 

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "bfs_oracle.hpp"
 #include "graph/bfs.hpp"
 #include "graph/generators.hpp"
 #include "util/error.hpp"
@@ -84,7 +89,7 @@ TEST(LevelDecomposition, BucketsAllVertices) {
   const Components comps = connected_components(g);
   const auto members = comps.vertices_of(0);
   const BfsTree t = bfs(g, members.front());
-  const LevelDecomposition levels(t);
+  const LevelDecomposition levels = component_levels(g)[0];
   EXPECT_EQ(levels.num_levels(), t.depth + 1);
   EXPECT_EQ(levels.total_vertices(), members.size());
   for (std::size_t l = 0; l < levels.num_levels(); ++l) {
@@ -95,7 +100,7 @@ TEST(LevelDecomposition, BucketsAllVertices) {
 
 TEST(AdjacentLevelSets, PairsWithSharedBoundary) {
   const Graph g = path(5);  // levels {0},{1},{2},{3},{4}
-  const LevelDecomposition levels(bfs(g, 0));
+  const LevelDecomposition levels = component_levels(g)[0];
   const auto sets = adjacent_level_sets(levels);
   ASSERT_EQ(sets.size(), 4u);
   for (std::size_t i = 0; i < sets.size(); ++i) {
@@ -111,7 +116,7 @@ TEST(AdjacentLevelSets, PairsWithSharedBoundary) {
 
 TEST(AdjacentLevelSets, SingleLevelComponent) {
   const Graph g(4);  // one isolated vertex per component
-  const LevelDecomposition levels(bfs(g, 2));
+  const LevelDecomposition levels = component_levels(g)[2];
   const auto sets = adjacent_level_sets(levels);
   ASSERT_EQ(sets.size(), 1u);
   EXPECT_TRUE(sets[0].second.empty());
@@ -122,9 +127,10 @@ TEST(AdjacentLevelSets, SingleLevelComponent) {
 TEST(AdjacentLevelSets, CoversEveryVertex) {
   const Graph g = erdos_renyi(90, 0.04, 5);
   const Components comps = connected_components(g);
+  const std::vector<LevelDecomposition> all = component_levels(g);
   for (std::uint32_t c = 0; c < comps.count; ++c) {
     const auto members = comps.vertices_of(c);
-    const LevelDecomposition levels(bfs(g, members.front()));
+    const LevelDecomposition& levels = all[c];
     std::vector<bool> seen(g.num_vertices(), false);
     for (const auto& als : adjacent_level_sets(levels)) {
       for (const Vertex v : als.first) seen[v] = true;
@@ -132,6 +138,82 @@ TEST(AdjacentLevelSets, CoversEveryVertex) {
     }
     for (const Vertex v : members) EXPECT_TRUE(seen[v]);
   }
+}
+
+TEST(ConnectedComponents, VerticesOfMatchesMembershipScan) {
+  const Graph g = disjoint_union(erdos_renyi(90, 0.02, 3), star(7));
+  const Components comps = connected_components(g);
+  ASSERT_EQ(comps.offsets.size(), comps.count + 1u);
+  std::size_t total = 0;
+  for (std::uint32_t c = 0; c < comps.count; ++c) {
+    std::vector<Vertex> scan;
+    for (Vertex v = 0; v < g.num_vertices(); ++v)
+      if (comps.component_of[v] == c) scan.push_back(v);
+    const auto members = comps.vertices_of(c);
+    EXPECT_EQ(std::vector<Vertex>(members.begin(), members.end()), scan);
+    total += members.size();
+  }
+  EXPECT_EQ(total, g.num_vertices());
+}
+
+/// Every walker level, size list and decomposition must equal graph::bfs
+/// bucketed by level from the same root.
+void expect_walker_matches_bfs(const Graph& g, std::size_t roots_per_comp) {
+  const Components comps = connected_components(g);
+  LevelWalker walker(g);
+  for (std::uint32_t c = 0; c < comps.count; ++c) {
+    const auto members = comps.vertices_of(c);
+    const std::size_t roots = std::min(roots_per_comp, members.size());
+    for (std::size_t t = 0; t < roots; ++t) {
+      const Vertex root = members[t * members.size() / roots];
+      SCOPED_TRACE("root " + std::to_string(root));
+      const std::span<const std::size_t> sizes = walker.walk(root, members);
+      const BfsTree tree = bfs(g, root);
+      const LevelDecomposition want = levels_of(tree);
+      ASSERT_EQ(sizes.size(), want.num_levels());
+      for (std::size_t l = 0; l < sizes.size(); ++l)
+        EXPECT_EQ(sizes[l], want.level(l).size()) << "level " << l;
+      EXPECT_EQ(walker.decomposition(members).levels(), want.levels());
+      for (Vertex v = 0; v < g.num_vertices(); ++v)
+        ASSERT_EQ(walker.level_of(v), tree.level[v]) << "vertex " << v;
+    }
+  }
+}
+
+TEST(LevelWalker, StarFromCentreGoesBottomUp) {
+  // From the centre the frontier's 63 edges exceed the 63 unexplored
+  // edges / 14, so the second level is found bottom-up; from a leaf the
+  // walk goes top-down first.
+  expect_walker_matches_bfs(star(64), 64);
+}
+
+TEST(LevelWalker, RmatMatchesBfs) {
+  expect_walker_matches_bfs(rmat(12, 16, 5), 8);
+}
+
+TEST(LevelWalker, PathGridAndComponentsMatchBfs) {
+  expect_walker_matches_bfs(path(200), 5);
+  expect_walker_matches_bfs(grid2d(30, 40), 5);
+  expect_walker_matches_bfs(
+      disjoint_union(erdos_renyi(150, 0.03, 9), complete(6)), 4);
+}
+
+TEST(LevelWalker, ComponentLevelsRootAtSmallestVertex) {
+  const Graph g = disjoint_union(erdos_renyi(120, 0.03, 4), rmat(8, 8, 2));
+  const Components comps = connected_components(g);
+  const std::vector<LevelDecomposition> got = component_levels(g);
+  ASSERT_EQ(got.size(), comps.count);
+  for (std::uint32_t c = 0; c < comps.count; ++c) {
+    const LevelDecomposition want =
+        levels_of(bfs(g, comps.vertices_of(c).front()));
+    EXPECT_EQ(got[c].levels(), want.levels()) << "component " << c;
+  }
+}
+
+TEST(LevelWalker, RootOutOfRangeThrows) {
+  const Graph g = path(3);
+  LevelWalker walker(g);
+  EXPECT_THROW(walker.walk(3, {}), lgg::Error);
 }
 
 }  // namespace
