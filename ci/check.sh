@@ -156,6 +156,9 @@ grep -q '^lgg_serve_cache_hits_total 1$' "$OBS_TMP/serve-golden.txt"
 step "serve: threads-1-vs-8 byte-identity on a 100k-edge catalog"
 # The full serving determinism contract at a size where device passes,
 # the DODG counter and the estimate backends all fan out on the host.
+# The third drain holds twelve independent doulion, wedges and bfs passes
+# on both graphs in a row, so its host passes compute concurrently in
+# waves and commit in pass order.
 cat > "$OBS_TMP/serve-big.script" <<'EOF'
 gen big gnm 20000 100000 7
 gen small gnm 200 600 9
@@ -169,6 +172,19 @@ alice big triangles
 drain
 bob big triangles
 alice small kclique 4
+drain
+alice big doulion 0.1 11
+bob small doulion 0.5 12
+carol big wedges 4000 13
+alice small wedges 700 14
+bob big bfs 17
+carol small bfs 3
+alice big doulion 0.5 15
+bob small wedges 900 16
+carol big bfs 1999
+alice small bfs 150
+bob big wedges 2500 17
+carol small doulion 0.25 18
 drain
 EOF
 build/tools/lgg_serve run "$OBS_TMP/serve-big.script" --threads 1 \

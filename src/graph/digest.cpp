@@ -1,9 +1,22 @@
 #include "graph/digest.hpp"
 
+#include <array>
+#include <bit>
 #include <cstddef>
 
 namespace lgg::graph {
 namespace {
+
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+
+/// kPrimePowers[k] = kFnvPrime^k mod 2^64.
+constexpr auto kPrimePowers = [] {
+  std::array<std::uint64_t, 9> powers{};
+  powers[0] = 1;
+  for (std::size_t k = 1; k < powers.size(); ++k)
+    powers[k] = powers[k - 1] * kFnvPrime;
+  return powers;
+}();
 
 /// Incremental 64-bit FNV-1a.  Multi-byte integers are folded
 /// little-endian at fixed widths so the digest is platform-independent.
@@ -13,17 +26,21 @@ class Fnv1a {
     const auto* p = static_cast<const unsigned char*>(data);
     for (std::size_t i = 0; i < size; ++i) {
       hash_ ^= p[i];
-      hash_ *= 0x100000001b3ULL;
+      hash_ *= kFnvPrime;
     }
   }
 
+  /// The 8 little-endian bytes of v.  A zero byte folds as one multiply
+  /// by the prime, so the bytes above v's highest non-zero byte fold as
+  /// one multiply by a power of it: the same value as folding them one
+  /// at a time, without the loop over the widened zeros.
   void u64(std::uint64_t v) {
-    unsigned char buf[8];
-    for (auto& b : buf) {
-      b = static_cast<unsigned char>(v & 0xff);
-      v >>= 8;
+    const auto used = static_cast<std::size_t>(std::bit_width(v) + 7) / 8;
+    for (std::size_t i = 0; i < used; ++i, v >>= 8) {
+      hash_ ^= v & 0xff;
+      hash_ *= kFnvPrime;
     }
-    bytes(buf, sizeof buf);
+    hash_ *= kPrimePowers[8 - used];
   }
 
   void u32(std::uint32_t v) { u64(v); }

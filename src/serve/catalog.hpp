@@ -15,8 +15,9 @@
 // Every artifact is a pure function of the graph content, so residency is
 // unobservable in results — only latency (and modelled preprocessing
 // time) drops.  Catalog mutation (add/load) happens before serving
-// starts; memoized artifacts are only touched from the single-threaded
-// Service::drain path.
+// starts; memoized artifacts are written only on the Service::drain
+// thread, and read concurrently only while a wave computes (when nothing
+// writes them).
 #pragma once
 
 #include <cstdint>

@@ -4,10 +4,13 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <utility>
+#include <variant>
 
 #include "core/approx.hpp"
 #include "core/kcount.hpp"
@@ -30,6 +33,180 @@ struct Service::Group {
   std::vector<std::size_t> members;  // in fair order
 };
 
+namespace {
+
+/// Most host passes one wave computes at once: bounds the typed results
+/// (a cc pass holds an n-sized vector) a drain keeps between compute and
+/// commit.
+constexpr std::size_t kWaveCap = 8;
+
+/// What a host pass computed before its commit: a k-clique count, an
+/// estimate, a BFS summary, a fresh cc sweep, or nothing (a bfs source
+/// out of range, a cc pass on a memoized graph).
+using HostValue =
+    std::variant<std::monostate, std::uint64_t, core::DoulionResult,
+                 core::WedgeSampleResult, BfsSummary, std::vector<double>>;
+
+struct HostResult {
+  HostValue value;
+  std::exception_ptr error;  // rethrown at the pass's turn to commit
+};
+
+/// The value of a bfs or cc pass its graph's memos (or a range check)
+/// already answer; nullopt when the pass has real work to do.
+std::optional<HostValue> memoized(const ResidentGraph& rg,
+                                  const Request& head) {
+  if (head.kind == QueryKind::kBfs) {
+    if (head.vertex >= rg.loaded.graph.num_vertices()) return std::monostate{};
+    const auto it = rg.bfs_memo.find(head.vertex);
+    if (it != rg.bfs_memo.end()) return it->second;
+  }
+  if (head.kind == QueryKind::kCc && rg.cc_memo.has_value())
+    return std::monostate{};
+  return std::nullopt;
+}
+
+/// Host pass body for a pass memoized() does not answer: reads the
+/// resident graph, writes nothing, and touches neither the pool, obs,
+/// the profiler nor the fault injector, so a wave's passes may run on
+/// any threads.
+HostValue compute_host_pass(const ResidentGraph& rg, const Request& head) {
+  const graph::Graph& g = rg.loaded.graph;
+  switch (head.kind) {
+    case QueryKind::kKClique:
+      return core::count_kcliques(g, head.k);
+    case QueryKind::kDoulion:
+      return core::doulion_estimate(g, head.p, head.seed);
+    case QueryKind::kWedges:
+      return core::wedge_sampling_estimate(g, head.samples, head.seed);
+    case QueryKind::kBfs:
+      return summarize_bfs(graph::bfs(g, head.vertex));
+    case QueryKind::kCc:
+      return core::clustering_coefficients(g);
+    case QueryKind::kTriangles:
+      break;
+  }
+  LGG_ASSERT(false && "triangles passes run inline, not in a wave");
+  return std::monostate{};
+}
+
+/// Answer every member of a pass with one body and cache it per member.
+void answer_all(ResultCache& cache, const ResidentGraph& rg,
+                const std::vector<std::size_t>& members,
+                const std::vector<Request>& reqs,
+                const std::vector<std::string>& canon, const std::string& body,
+                std::vector<Response>& responses) {
+  for (const std::size_t idx : members) {
+    responses[idx].status = Status::kOk;
+    responses[idx].body = body;
+    cache.insert(CacheKey{rg.digest, canon[idx], reqs[idx].seed}, body);
+  }
+}
+
+/// Commit one host pass's value: memo inserts, responses and cache
+/// inserts.  Returns the backend name the pass logs.
+std::string commit_host_pass(ResultCache& cache, ResidentGraph& rg,
+                             const std::vector<std::size_t>& members,
+                             HostValue& value,
+                             const std::vector<Request>& reqs,
+                             const std::vector<std::string>& canon,
+                             std::vector<Response>& responses) {
+  const graph::Graph& g = rg.loaded.graph;
+  const Request& head = reqs[members.front()];
+  const auto ok_all = [&](const std::string& body) {
+    answer_all(cache, rg, members, reqs, canon, body, responses);
+  };
+
+  switch (head.kind) {
+    case QueryKind::kKClique:
+      ok_all("cliques=" + std::to_string(std::get<std::uint64_t>(value)) +
+             " backend=host");
+      break;
+    case QueryKind::kDoulion: {
+      const auto& res = std::get<core::DoulionResult>(value);
+      ok_all("estimate=" + obs::format_number(res.estimate) +
+             " sparsified=" + std::to_string(res.sparsified_count) +
+             " kept_edges=" + std::to_string(res.kept_edges) +
+             " backend=host");
+      break;
+    }
+    case QueryKind::kWedges: {
+      const auto& res = std::get<core::WedgeSampleResult>(value);
+      ok_all("estimate=" + obs::format_number(res.estimate) +
+             " closed_fraction=" + obs::format_number(res.closed_fraction) +
+             " wedges=" + std::to_string(res.total_wedges) +
+             " backend=host");
+      break;
+    }
+    case QueryKind::kBfs: {
+      if (head.vertex >= g.num_vertices()) {
+        for (const std::size_t idx : members) {
+          responses[idx].status = Status::kError;
+          responses[idx].body = "reason=\"vertex out of range\"";
+        }
+        return "none";
+      }
+      // A no-op when an earlier pass of this wave memoized the source.
+      const BfsSummary& summary =
+          rg.bfs_memo.emplace(head.vertex, std::get<BfsSummary>(value))
+              .first->second;
+      ok_all("depth=" + std::to_string(summary.depth) +
+             " reached=" + std::to_string(summary.reached) +
+             " backend=host");
+      break;
+    }
+    case QueryKind::kCc: {
+      if (!rg.cc_memo.has_value())
+        rg.cc_memo = std::move(std::get<std::vector<double>>(value));
+      bool any_ok = false;
+      for (const std::size_t idx : members) {
+        const Request& r = reqs[idx];
+        if (r.vertex >= g.num_vertices()) {
+          responses[idx].status = Status::kError;
+          responses[idx].body = "reason=\"vertex out of range\"";
+          continue;
+        }
+        any_ok = true;
+        responses[idx].status = Status::kOk;
+        responses[idx].body =
+            "cc=" + obs::format_number((*rg.cc_memo)[r.vertex]) +
+            " backend=host";
+        cache.insert(CacheKey{rg.digest, canon[idx], r.seed},
+                     responses[idx].body);
+      }
+      if (!any_ok) return "none";
+      break;
+    }
+    case QueryKind::kTriangles:
+      LGG_ASSERT(false && "triangles passes have no host commit");
+  }
+  return "host";
+}
+
+/// Run fn(i) for i in [0, n) on the executor `exec` selects, as
+/// gpusim::Simulator does: serial inline, parallel(0) on the shared
+/// pool, parallel(k) on a private pool of k workers.
+template <class Fn>
+void for_each_on(const gpusim::ExecPolicy& exec, std::size_t n,
+                 const Fn& fn) {
+  if (exec.mode == gpusim::ExecPolicy::Mode::kSerial || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  // One pass per chunk, claimed dynamically: pass costs differ widely.
+  const auto range = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) fn(i);
+  };
+  if (exec.threads > 0) {
+    ThreadPool pool(exec.threads);
+    pool.parallel_for_dynamic(n, range, 1, kWaveCap);
+  } else {
+    ThreadPool::shared().parallel_for_dynamic(n, range, 1, kWaveCap);
+  }
+}
+
+}  // namespace
+
 Service::Service(Catalog& catalog, const ServeOptions& opts)
     : catalog_(catalog), opts_(opts), cache_(opts.cache_capacity) {
   if (opts_.fault_rate > 0.0)
@@ -42,123 +219,41 @@ void Service::submit(Request req) {
   pending_.push_back(std::move(req));
 }
 
-std::string Service::execute_group(ResidentGraph& rg, const Group& group,
+std::string Service::run_triangles(ResidentGraph& rg, const Group& group,
                                    const std::vector<Request>& reqs,
                                    const std::vector<std::string>& canon,
                                    std::vector<Response>& responses) {
-  const graph::Graph& g = rg.loaded.graph;
-  const Request& head = reqs[group.members.front()];
-  std::string backend = "host";
-
-  const auto ok_all = [&](const std::string& body) {
-    for (const std::size_t idx : group.members) {
-      responses[idx].status = Status::kOk;
-      responses[idx].body = body;
-      cache_.insert(CacheKey{rg.digest, canon[idx], reqs[idx].seed}, body);
-    }
-  };
-  const auto error_all = [&](const std::string& reason) {
-    for (const std::size_t idx : group.members) {
-      responses[idx].status = Status::kError;
-      responses[idx].body = "reason=\"" + reason + "\"";
-    }
-  };
-
-  switch (head.kind) {
-    case QueryKind::kTriangles: {
-      std::uint64_t count = 0;
-      if (rg.plan.total_tests <= opts_.device_test_budget) {
-        // Device pass with the catalog's prepared plan: zero modelled
-        // preprocessing, certified by the resilient runner.
-        resilience::RunnerOptions ropts;
-        ropts.device = catalog_.options().device;
-        ropts.metric = catalog_.options().metric;
-        ropts.exec = opts_.exec;
-        ropts.obs = opts_.obs;
-        ropts.prof = opts_.prof;
-        ropts.prepared = &rg.plan;
-        ropts.faults = faults_ ? &*faults_ : nullptr;
-        const resilience::RunnerReport rr = resilience::run_resilient(g, ropts);
-        LGG_CHECK(rr.exact, "serve: resilient pass failed to certify "
-                            << group.key << " on " << group.graph);
-        count = rr.triangles;
-        if (opts_.obs != nullptr && rr.recovery.faults > 0)
-          opts_.obs->metrics.count("lgg_serve_pass_faults_total",
-                                   rr.recovery.faults);
-        backend = "resilient";
-      } else {
-        // Test space too large to simulate per query: the cached DODG
-        // intersection counter answers exactly on the host.
-        count = ingest::count_triangles_oriented(rg.dodg,
-                                                 &ThreadPool::shared());
-        backend = "dodg";
-      }
-      ok_all("triangles=" + std::to_string(count) + " backend=" + backend);
-      break;
-    }
-    case QueryKind::kKClique: {
-      const std::uint64_t count = core::count_kcliques(g, head.k);
-      ok_all("cliques=" + std::to_string(count) + " backend=" + backend);
-      break;
-    }
-    case QueryKind::kDoulion: {
-      const core::DoulionResult res =
-          core::doulion_estimate(g, head.p, head.seed);
-      ok_all("estimate=" + obs::format_number(res.estimate) +
-             " sparsified=" + std::to_string(res.sparsified_count) +
-             " kept_edges=" + std::to_string(res.kept_edges) +
-             " backend=" + backend);
-      break;
-    }
-    case QueryKind::kWedges: {
-      const core::WedgeSampleResult res =
-          core::wedge_sampling_estimate(g, head.samples, head.seed);
-      ok_all("estimate=" + obs::format_number(res.estimate) +
-             " closed_fraction=" + obs::format_number(res.closed_fraction) +
-             " wedges=" + std::to_string(res.total_wedges) +
-             " backend=" + backend);
-      break;
-    }
-    case QueryKind::kBfs: {
-      if (head.vertex >= g.num_vertices()) {
-        error_all("vertex out of range");
-        backend = "none";
-        break;
-      }
-      auto it = rg.bfs_memo.find(head.vertex);
-      if (it == rg.bfs_memo.end()) {
-        const BfsSummary fresh = summarize_bfs(graph::bfs(g, head.vertex));
-        it = rg.bfs_memo.emplace(head.vertex, fresh).first;
-      }
-      const BfsSummary& summary = it->second;
-      ok_all("depth=" + std::to_string(summary.depth) +
-             " reached=" + std::to_string(summary.reached) +
-             " backend=" + backend);
-      break;
-    }
-    case QueryKind::kCc: {
-      if (!rg.cc_memo.has_value())
-        rg.cc_memo = core::clustering_coefficients(g);
-      bool any_ok = false;
-      for (const std::size_t idx : group.members) {
-        const Request& r = reqs[idx];
-        if (r.vertex >= g.num_vertices()) {
-          responses[idx].status = Status::kError;
-          responses[idx].body = "reason=\"vertex out of range\"";
-          continue;
-        }
-        any_ok = true;
-        responses[idx].status = Status::kOk;
-        responses[idx].body =
-            "cc=" + obs::format_number((*rg.cc_memo)[r.vertex]) +
-            " backend=host";
-        cache_.insert(CacheKey{rg.digest, canon[idx], r.seed},
-                      responses[idx].body);
-      }
-      if (!any_ok) backend = "none";
-      break;
-    }
+  std::uint64_t count = 0;
+  std::string backend;
+  if (rg.plan.total_tests <= opts_.device_test_budget) {
+    // Device pass with the catalog's prepared plan: zero modelled
+    // preprocessing, certified by the resilient runner.
+    resilience::RunnerOptions ropts;
+    ropts.device = catalog_.options().device;
+    ropts.metric = catalog_.options().metric;
+    ropts.exec = opts_.exec;
+    ropts.obs = opts_.obs;
+    ropts.prof = opts_.prof;
+    ropts.prepared = &rg.plan;
+    ropts.faults = faults_ ? &*faults_ : nullptr;
+    const resilience::RunnerReport rr =
+        resilience::run_resilient(rg.loaded.graph, ropts);
+    LGG_CHECK(rr.exact, "serve: resilient pass failed to certify "
+                        << group.key << " on " << group.graph);
+    count = rr.triangles;
+    if (opts_.obs != nullptr && rr.recovery.faults > 0)
+      opts_.obs->metrics.count("lgg_serve_pass_faults_total",
+                               rr.recovery.faults);
+    backend = "resilient";
+  } else {
+    // Test space too large to simulate per query: the cached DODG
+    // intersection counter answers exactly on the host.
+    count = ingest::count_triangles_oriented(rg.dodg, &ThreadPool::shared());
+    backend = "dodg";
   }
+  answer_all(cache_, rg, group.members, reqs, canon,
+             "triangles=" + std::to_string(count) + " backend=" + backend,
+             responses);
   return backend;
 }
 
@@ -287,13 +382,16 @@ std::vector<Response> Service::drain() {
     }
   }
 
-  // 5. Execute passes in first-appearance order.
+  // 5. Execute passes in first-appearance order.  Each run of
+  // consecutive host passes forms a wave (at most kWaveCap passes): the
+  // wave's results are computed concurrently on opts_.exec, then
+  // committed one pass at a time in pass order, so every response, cache
+  // insert, memo insert, log line, span and metric lands exactly as a
+  // one-pass-at-a-time loop would leave it.  Triangles passes run inline.
   const std::uint64_t evictions_before = cache_.evictions();
   std::uint64_t merges = 0;
-  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+  const auto run_pass = [&](std::size_t gi, const auto& execute) {
     const Group& group = groups[gi];
-    ResidentGraph* rg = catalog_.find(group.graph);
-    LGG_ASSERT(rg != nullptr);
     obs::Scope pass_span(opts_.obs, "serve/pass[" + std::to_string(gi) + "]",
                          "serve");
     if (pass_span) {
@@ -311,8 +409,7 @@ std::vector<Response> Service::drain() {
     }
     const std::uint64_t pass_t0 =
         opts_.obs != nullptr ? opts_.obs->tracer.now_ns() : 0;
-    const std::string backend =
-        execute_group(*rg, group, reqs, canon, responses);
+    const std::string backend = execute();
     if (pass_span) pass_span.arg("backend", backend);
     if (opts_.obs != nullptr) {
       // Modelled pass latency: the tracer clock the backend charged.
@@ -332,6 +429,56 @@ std::vector<Response> Service::drain() {
     log << "pass " << gi << ": graph=" << group.graph
         << " key=" << group.key << " size=" << group.members.size()
         << " backend=" << backend << "\n";
+  };
+  const auto resident = [&](const Group& group) -> ResidentGraph& {
+    ResidentGraph* rg = catalog_.find(group.graph);
+    LGG_ASSERT(rg != nullptr);
+    return *rg;
+  };
+  const auto is_host = [&](const Group& group) {
+    return reqs[group.members.front()].kind != QueryKind::kTriangles;
+  };
+  std::vector<HostResult> wave;
+  std::vector<std::size_t> work;  // wave slots with work to compute
+  for (std::size_t gi = 0; gi < groups.size();) {
+    if (!is_host(groups[gi])) {
+      run_pass(gi, [&] {
+        return run_triangles(resident(groups[gi]), groups[gi], reqs, canon,
+                             responses);
+      });
+      ++gi;
+      continue;
+    }
+    std::size_t end = gi + 1;
+    while (end < groups.size() && end - gi < kWaveCap && is_host(groups[end]))
+      ++end;
+    // Memo answers are taken inline; only passes with work fan out.
+    wave.assign(end - gi, HostResult{});
+    work.clear();
+    for (std::size_t w = 0; w < wave.size(); ++w) {
+      const Group& group = groups[gi + w];
+      if (auto value = memoized(resident(group), reqs[group.members.front()]))
+        wave[w].value = std::move(*value);
+      else
+        work.push_back(w);
+    }
+    for_each_on(opts_.exec, work.size(), [&](std::size_t i) {
+      const Group& group = groups[gi + work[i]];
+      try {
+        wave[work[i]].value =
+            compute_host_pass(resident(group), reqs[group.members.front()]);
+      } catch (...) {
+        wave[work[i]].error = std::current_exception();
+      }
+    });
+    for (std::size_t w = 0; gi < end; ++gi, ++w) {
+      run_pass(gi, [&] {
+        if (wave[w].error) std::rethrow_exception(wave[w].error);
+        return commit_host_pass(cache_, resident(groups[gi]),
+                                groups[gi].members, wave[w].value, reqs,
+                                canon, responses);
+      });
+    }
   }
   if (opts_.obs != nullptr && cache_.evictions() > evictions_before)
     opts_.obs->metrics.count("lgg_serve_cache_evictions_total",

@@ -7,9 +7,11 @@
 // assigned id order — so the responses, the request log, the span tree
 // and the metrics are pure functions of the request set, byte-identical
 // no matter how many client threads submitted or in what arrival order.
-// Parallelism lives INSIDE a pass (the simulator's ExecPolicy sharding,
-// the DODG counter's ThreadPool), where the determinism contract of
-// PRs 1-7 already guarantees bit-identical results.
+// Parallelism lives inside a pass (the simulator's ExecPolicy sharding,
+// the DODG counter's ThreadPool), where the simulator's and the
+// ingest's determinism contracts guarantee bit-identical results, and
+// across the host passes of a wave (step 5), whose results are computed
+// concurrently but committed on the drain thread in pass order.
 //
 // drain() pipeline, in order:
 //   1. admission  — per-tenant quota applied in id order; rejected
@@ -24,11 +26,17 @@
 //                   appearance order; one backend pass answers the whole
 //                   group (all cc queries share one sweep, all triangle
 //                   queries one device run),
-//   5. execution  — ResilientRunner (with the catalog's prepared ALS
+//   5. execution  — in pass order.  Triangles passes run inline:
+//                   ResilientRunner (with the catalog's prepared ALS
 //                   plan, zero modelled preprocessing) when the graph's
 //                   test space fits the device budget, the DODG host
-//                   counter beyond it; estimates/bfs/kclique on their
-//                   host backends.
+//                   counter beyond it.  Each run of consecutive host
+//                   passes (kclique/doulion/wedges/bfs/cc) is a wave of
+//                   at most 8: results computed on the executor `exec`
+//                   selects, then committed one pass at a time in pass
+//                   order (responses, cache and memo inserts, log,
+//                   spans, metrics); a pass's exception is rethrown at
+//                   its own turn.
 //
 // Response bodies are pure functions of (graph content, canonical query,
 // seed): cache/batch markers appear only in the log, so cached and
@@ -64,8 +72,9 @@ struct ServeOptions {
   /// triples; larger graphs use the DODG host counter (simulating every
   /// test of a huge graph is exactly what the serving layer must not do).
   std::uint64_t device_test_budget = 1u << 22;
-  /// Host-side execution policy for simulated device passes (results are
-  /// bit-identical across settings).
+  /// Host-side execution policy for simulated device passes and for the
+  /// host-pass waves of a drain (results are bit-identical across
+  /// settings).
   gpusim::ExecPolicy exec;
   /// Optional observability session: per-request + per-pass spans and
   /// lgg_serve_* counters.  Must be the catalog's session (or null).
@@ -144,7 +153,9 @@ class Service {
  private:
   struct Group;  // one batched backend pass
 
-  std::string execute_group(ResidentGraph& rg, const Group& group,
+  /// Run one triangles pass inline (resilient device pipeline or the
+  /// DODG counter); returns the backend name.
+  std::string run_triangles(ResidentGraph& rg, const Group& group,
                             const std::vector<Request>& reqs,
                             const std::vector<std::string>& canon,
                             std::vector<Response>& responses);

@@ -2,48 +2,12 @@
 
 namespace lgg {
 
-namespace {
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Xoshiro256::Xoshiro256(std::uint64_t seed) noexcept {
   // Never allow the all-zero state; SplitMix64 expansion guarantees this
   // with overwhelming probability, but we guard anyway.
   SplitMix64 sm(seed);
   for (auto& word : s_) word = sm.next();
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 0x9E3779B97F4A7C15ull;
-}
-
-std::uint64_t Xoshiro256::next() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Xoshiro256::uniform(std::uint64_t bound) noexcept {
-  if (bound == 0) return 0;
-  // Lemire rejection sampling: unbiased and usually a single multiply.
-  __extension__ typedef unsigned __int128 U128;  // GNU extension under -Wpedantic
-  std::uint64_t x = next();
-  U128 m = static_cast<U128>(x) * static_cast<U128>(bound);
-  auto low = static_cast<std::uint64_t>(m);
-  if (low < bound) {
-    const std::uint64_t threshold = (0 - bound) % bound;
-    while (low < threshold) {
-      x = next();
-      m = static_cast<U128>(x) * static_cast<U128>(bound);
-      low = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
 }
 
 }  // namespace lgg

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 
 namespace lgg {
@@ -40,11 +41,40 @@ class Xoshiro256 {
   static constexpr result_type max() noexcept { return ~result_type{0}; }
 
   result_type operator()() noexcept { return next(); }
-  std::uint64_t next() noexcept;
+
+  // next() and uniform() are defined here so hot sampling loops (wedge
+  // sampling draws three per sample) inline them.
+  std::uint64_t next() noexcept {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound) without modulo bias
   /// (Lemire's multiply-then-shift rejection method).
-  std::uint64_t uniform(std::uint64_t bound) noexcept;
+  std::uint64_t uniform(std::uint64_t bound) noexcept {
+    if (bound == 0) return 0;
+    // Lemire rejection sampling: unbiased and usually a single multiply.
+    __extension__ typedef unsigned __int128 U128;  // GNU extension under -Wpedantic
+    std::uint64_t x = next();
+    U128 m = static_cast<U128>(x) * static_cast<U128>(bound);
+    auto low = static_cast<std::uint64_t>(m);
+    if (low < bound) {
+      const std::uint64_t threshold = (0 - bound) % bound;
+      while (low < threshold) {
+        x = next();
+        m = static_cast<U128>(x) * static_cast<U128>(bound);
+        low = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform double in [0, 1) with 53 bits of randomness.
   double uniform01() noexcept {

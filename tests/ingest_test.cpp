@@ -378,5 +378,71 @@ TEST(IngestDigest, DistinguishesLoadedGraphFields) {
   EXPECT_EQ(digest_of(base), digest_of(base));
 }
 
+/// The byte-at-a-time FNV-1a fold the digest is defined by: every
+/// integer widened to 8 little-endian bytes, each folded on its own.
+class ByteFnv1a {
+ public:
+  void byte(unsigned char b) {
+    hash_ ^= b;
+    hash_ *= 0x100000001b3ULL;
+  }
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i, v >>= 8) byte(static_cast<unsigned char>(v));
+  }
+  void str(const std::string& s) {
+    u64(s.size());
+    for (const char c : s) byte(static_cast<unsigned char>(c));
+  }
+  [[nodiscard]] std::uint64_t value() const noexcept { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+std::uint64_t byte_oracle_digest(const graph::LoadedGraph& loaded) {
+  ByteFnv1a h;
+  h.str("lgg-loaded-v1");
+  const Graph& g = loaded.graph;
+  h.u64(g.num_vertices());
+  for (const std::uint64_t o : g.raw_offsets()) h.u64(o);
+  for (const graph::Vertex v : g.raw_adjacency()) h.u64(v);
+  h.u64(loaded.original_ids.size());
+  for (const std::uint64_t id : loaded.original_ids) h.u64(id);
+  h.u64(loaded.comments.size());
+  for (const auto& c : loaded.comments) h.str(c);
+  h.u64(loaded.declared_nodes.has_value() ? 1 : 0);
+  if (loaded.declared_nodes) h.u64(*loaded.declared_nodes);
+  return h.value();
+}
+
+TEST(IngestDigest, MatchesByteAtATimeOracle) {
+  // Ids whose highest non-zero byte sits at every width the fold can
+  // shortcut: none (0), the first byte, the second, the fifth, the last.
+  const std::vector<std::uint64_t> ids = {
+      0, 0xff, 0x100, std::uint64_t{1} << 32, std::uint64_t{1} << 56,
+      ~std::uint64_t{0}, 0x1234, 0xabcdef01ULL};
+  for (const bool declared : {false, true}) {
+    for (const bool comments : {false, true}) {
+      graph::LoadedGraph loaded;
+      loaded.graph = graph::rmat(7, 8, 3);
+      for (std::size_t v = 0; v < loaded.graph.num_vertices(); ++v)
+        loaded.original_ids.push_back(ids[v % ids.size()] ^ (v << 8));
+      loaded.original_ids[0] = 0;
+      if (comments) loaded.comments = {"", "Nodes: 128", std::string(300, 'x')};
+      if (declared) loaded.declared_nodes = std::size_t{1} << 40;
+      EXPECT_EQ(graph::loaded_graph_digest(loaded), byte_oracle_digest(loaded))
+          << "declared=" << declared << " comments=" << comments;
+    }
+  }
+  // A loaded file end to end, and a graph with no vertices.
+  const auto loaded =
+      load_snap_buffer("# c\n# Nodes: 4\n0 255\n256 4294967296\n"
+                       "72057594037927936 18446744073709551615\n")
+          .loaded;
+  EXPECT_EQ(graph::loaded_graph_digest(loaded), byte_oracle_digest(loaded));
+  const graph::LoadedGraph empty{Graph(0), {}, {}, std::nullopt};
+  EXPECT_EQ(graph::loaded_graph_digest(empty), byte_oracle_digest(empty));
+}
+
 }  // namespace
 }  // namespace lgg::ingest

@@ -12,6 +12,7 @@
 
 #include "core/hybrid.hpp"
 #include "core/triangle_cpu.hpp"
+#include "graph/bfs.hpp"
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
@@ -584,6 +585,156 @@ TEST(ServeState, ServiceRestoreReproducesCacheAndLogBehavior) {
   EXPECT_EQ(svc_b.log(), svc_a.log());
   // The second round was all cache hits in both worlds.
   EXPECT_NE(svc_b.log().rfind("cache=hit"), std::string::npos);
+}
+
+/// One drain's observable outcome: responses (or the exception text),
+/// request log and cache snapshot (through the checkpoint encoding), the
+/// BFS/cc memos, span tree and metrics.
+struct DrainOutcome {
+  std::string responses;
+  std::string error;
+  std::string state;
+  std::string memos;
+  std::string spans;
+  std::string metrics;
+
+  friend bool operator==(const DrainOutcome&, const DrainOutcome&) = default;
+};
+
+std::string render_memos(serve::Catalog& catalog) {
+  std::string out;
+  for (const std::string& name : catalog.names()) {
+    const serve::ResidentGraph& rg = *catalog.find(name);
+    out += name + " bfs";
+    for (const auto& [source, summary] : rg.bfs_memo)
+      out += " " + std::to_string(source) + ":" +
+             std::to_string(summary.depth) + "/" +
+             std::to_string(summary.reached);
+    out += rg.cc_memo ? " cc=" + std::to_string(rg.cc_memo->size()) : " cc=-";
+    out += "\n";
+  }
+  return out;
+}
+
+/// Host passes of one kind each, over two graphs, with triangles passes
+/// before, between and after them: more host passes in a row than one
+/// wave holds, a batched bfs pair, an out-of-range bfs source and an
+/// optional directly built doulion request that throws (p = 0).
+std::vector<serve::Request> wave_script(std::uint64_t base, bool throwing) {
+  struct Line {
+    const char* graph;
+    serve::QueryKind kind;
+    double p;
+    std::uint64_t n;  // samples / k / vertex
+    std::uint64_t seed;
+  };
+  using K = serve::QueryKind;
+  std::vector<Line> lines = {
+      {"g0", K::kTriangles, 0, 0, 0}, {"g0", K::kDoulion, 0.5, 0, 1},
+      {"g1", K::kWedges, 0, 300, 2},  {"g0", K::kBfs, 0, 3, 0},
+      {"g1", K::kBfs, 0, 5, 0},       {"g0", K::kCc, 0, 4, 0},
+      {"g1", K::kKClique, 0, 4, 0},   {"g1", K::kDoulion, 0.25, 0, 9},
+      {"g0", K::kWedges, 0, 200, 4},  {"g1", K::kCc, 0, 2, 0},
+      {"g0", K::kBfs, 0, 40, 0},      {"g1", K::kTriangles, 0, 0, 0},
+      {"g0", K::kKClique, 0, 3, 0},   {"g1", K::kBfs, 0, 5, 0},
+      {"g1", K::kDoulion, 0.5, 0, 3}, {"g0", K::kBfs, 0, 7, 0}};
+  if (throwing) lines.insert(lines.begin() + 5, {"g0", K::kDoulion, 0, 0, 6});
+  std::vector<serve::Request> reqs;
+  for (const Line& l : lines) {
+    serve::Request r;
+    r.id = base + reqs.size();
+    r.tenant = "t";  // one tenant: passes follow the script order
+    r.graph = l.graph;
+    r.kind = l.kind;
+    r.p = l.p;
+    r.seed = l.seed;
+    if (l.kind == K::kWedges) r.samples = l.n;
+    if (l.kind == K::kKClique) r.k = static_cast<std::uint32_t>(l.n);
+    if (l.kind == K::kBfs || l.kind == K::kCc)
+      r.vertex = static_cast<graph::Vertex>(l.n);
+    reqs.push_back(r);
+  }
+  return reqs;
+}
+
+/// Two drains of wave_script (the second one partly served from the
+/// cache and the memos) under one execution policy.
+DrainOutcome run_waves(const gpusim::ExecPolicy& exec, bool throwing) {
+  obs::Session obs;
+  serve::Catalog catalog = make_catalog(&obs);
+  serve::ServeOptions sopts;
+  sopts.obs = &obs;
+  sopts.exec = exec;
+  sopts.cache_capacity = 12;  // small enough to evict within a drain
+  serve::Service service(catalog, sopts);
+  DrainOutcome out;
+  for (const std::uint64_t base : {0, 100}) {
+    for (serve::Request& r : wave_script(base, throwing))
+      service.submit(std::move(r));
+    try {
+      out.responses += render(service.drain());
+    } catch (const Error& e) {
+      out.error += std::string(e.what()) + "\n";
+    }
+  }
+  out.state = serve::encode_serve_state(service.state());
+  out.memos = render_memos(catalog);
+  out.spans = obs::span_tree_text(obs.tracer);
+  out.metrics = obs.metrics.prometheus_text();
+  return out;
+}
+
+TEST(ServeWaves, HostPassFanOutIsByteIdenticalAtAnyPolicy) {
+  const DrainOutcome want = run_waves(gpusim::ExecPolicy::serial(), false);
+  EXPECT_TRUE(want.error.empty()) << want.error;
+  // The script really has waves: more host passes in a row than a wave
+  // holds, between triangles passes, and memo hits in the second drain.
+  EXPECT_NE(want.state.find("backend=resilient"), std::string::npos);
+  EXPECT_NE(want.state.find("cache=hit"), std::string::npos);
+  EXPECT_NE(want.state.find("size=2%20backend=host"), std::string::npos);
+  EXPECT_NE(want.responses.find("reason=\"vertex out of range\""),
+            std::string::npos);
+  EXPECT_NE(want.memos.find("g0 bfs 3:"), std::string::npos);
+  EXPECT_NE(want.memos.find("cc=40"), std::string::npos);
+  EXPECT_NE(want.memos.find("cc=36"), std::string::npos);
+  for (const std::size_t threads : {0, 1, 3, 8}) {
+    const DrainOutcome got =
+        run_waves(gpusim::ExecPolicy::parallel(threads), false);
+    EXPECT_EQ(got.responses, want.responses) << threads << " threads";
+    EXPECT_EQ(got.state, want.state) << threads << " threads";
+    EXPECT_EQ(got.memos, want.memos) << threads << " threads";
+    EXPECT_EQ(got.spans, want.spans) << threads << " threads";
+    EXPECT_EQ(got.metrics, want.metrics) << threads << " threads";
+  }
+}
+
+TEST(ServeWaves, ThrowingPassRethrowsAtItsTurnAtAnyPolicy) {
+  const DrainOutcome want = run_waves(gpusim::ExecPolicy::serial(), true);
+  // Both drains throw the doulion backend's own error...
+  EXPECT_EQ(want.error, "doulion: p=0 not in (0,1]\n"
+                        "doulion: p=0 not in (0,1]\n");
+  EXPECT_TRUE(want.responses.empty());
+  // ...after committing exactly the passes before it, in its wave: the
+  // estimates and both bfs sources are cached and memoized, the cc pass
+  // right after it is not.
+  EXPECT_NE(want.state.find("doulion%20p=0.5%20seed=1"), std::string::npos);
+  EXPECT_NE(want.state.find("wedges%20samples=300%20seed=2"),
+            std::string::npos);
+  EXPECT_EQ(want.state.find("cc%20v=4"), std::string::npos);
+  const auto summary = [](const graph::Graph& g, graph::Vertex source) {
+    const serve::BfsSummary s = serve::summarize_bfs(graph::bfs(g, source));
+    return std::to_string(source) + ":" + std::to_string(s.depth) + "/" +
+           std::to_string(s.reached);
+  };
+  EXPECT_EQ(want.memos, "g0 bfs " + summary(graph::gnm(40, 120, 7), 3) +
+                            " cc=-\ng1 bfs " +
+                            summary(graph::gnm(36, 90, 9), 5) +
+                            " cc=-\ng2 bfs cc=-\n");
+  for (const std::size_t threads : {0, 1, 3, 8}) {
+    const DrainOutcome got =
+        run_waves(gpusim::ExecPolicy::parallel(threads), true);
+    EXPECT_EQ(got, want) << threads << " threads";
+  }
 }
 
 TEST(ServeRequest, ParseAndCanonicalRoundTrip) {
