@@ -39,6 +39,23 @@ if grep -nE '"plan/chunking"|prepared ALS plan was built' src/core/* \
        "core::plan_chunked_run" >&2
   exit 1
 fi
+# One checkpoint codec: the FNV-1a constants live in util::Fnv1a
+# (src/util/fnv1a.hpp), 16-digit hex in graph::digest_hex (which needs no
+# printf format), and the digest trailer in src/resilience/checkpoint.cpp.
+if grep -rniE 'cbf29ce484222325|100000001b3' src \
+      | grep -v '^src/util/fnv1a\.hpp:'; then
+  echo "FNV-1a outside src/util/fnv1a.hpp: use util::Fnv1a" >&2
+  exit 1
+fi
+if grep -rn '%016llx' src | grep -v '^src/graph/digest\.cpp:'; then
+  echo "hex rendering outside graph::digest_hex" >&2
+  exit 1
+fi
+if grep -rnF '"\ndigest ' src | grep -v '^src/resilience/checkpoint\.cpp:'; then
+  echo "checkpoint digest trailer outside src/resilience/checkpoint.cpp:" \
+       "use seal_checkpoint / open_checkpoint" >&2
+  exit 1
+fi
 
 step "default: configure + build"
 cmake --preset default

@@ -1,65 +1,18 @@
 #include "graph/digest.hpp"
 
-#include <array>
-#include <bit>
 #include <cstddef>
+
+#include "util/fnv1a.hpp"
 
 namespace lgg::graph {
 namespace {
 
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-/// kPrimePowers[k] = kFnvPrime^k mod 2^64.
-constexpr auto kPrimePowers = [] {
-  std::array<std::uint64_t, 9> powers{};
-  powers[0] = 1;
-  for (std::size_t k = 1; k < powers.size(); ++k)
-    powers[k] = powers[k - 1] * kFnvPrime;
-  return powers;
-}();
-
-/// Incremental 64-bit FNV-1a.  Multi-byte integers are folded
-/// little-endian at fixed widths so the digest is platform-independent.
-class Fnv1a {
- public:
-  void bytes(const void* data, std::size_t size) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      hash_ ^= p[i];
-      hash_ *= kFnvPrime;
-    }
-  }
-
-  /// The 8 little-endian bytes of v.  A zero byte folds as one multiply
-  /// by the prime, so the bytes above v's highest non-zero byte fold as
-  /// one multiply by a power of it: the same value as folding them one
-  /// at a time, without the loop over the widened zeros.
-  void u64(std::uint64_t v) {
-    const auto used = static_cast<std::size_t>(std::bit_width(v) + 7) / 8;
-    for (std::size_t i = 0; i < used; ++i, v >>= 8) {
-      hash_ ^= v & 0xff;
-      hash_ *= kFnvPrime;
-    }
-    hash_ *= kPrimePowers[8 - used];
-  }
-
-  void u32(std::uint32_t v) { u64(v); }
-
-  void str(const std::string& s) {
-    u64(s.size());
-    bytes(s.data(), s.size());
-  }
-
-  [[nodiscard]] std::uint64_t value() const noexcept { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
+using util::Fnv1a;
 
 void fold_graph(Fnv1a& h, const Graph& g) {
   h.u64(g.num_vertices());
   for (const std::uint64_t o : g.raw_offsets()) h.u64(o);
-  for (const Vertex v : g.raw_adjacency()) h.u32(v);
+  for (const Vertex v : g.raw_adjacency()) h.u64(v);
 }
 
 }  // namespace

@@ -1,107 +1,40 @@
 #include "resilience/checkpoint.hpp"
 
 #include <bit>
-#include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
+
+#include "graph/digest.hpp"
+#include "util/fnv1a.hpp"
+#include "util/parse.hpp"
 
 namespace lgg::resilience {
 
 namespace {
 
-constexpr std::string_view kMagic = "lggckpt";
-constexpr std::uint64_t kFormatVersion = 1;
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
+constexpr CheckpointFormat kRunnerFormat{"lggckpt", 1, "checkpoint"};
 
-/// Fold a 64-bit value into an FNV-1a state, little-endian bytes.
-void fold(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFFu;
-    h *= kFnvPrime;
-  }
+/// The trailer's separator from the body; rfind locates the trailer.
+constexpr std::string_view kTrailer = "\ndigest ";
+
+constexpr bool is_ws(char c) {
+  return c == ' ' || c == '\n' || c == '\r' || c == '\t';
 }
 
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
+/// Value of a lowercase hex digit, -1 for any other byte.
+constexpr int hex_digit(char c) {
+  return c >= '0' && c <= '9'   ? c - '0'
+         : c >= 'a' && c <= 'f' ? c - 'a' + 10
+                                : -1;
 }
 
-[[noreturn]] void corrupt(const std::string& why) {
-  throw CheckpointError(CheckpointError::Kind::kCorrupt,
-                        "corrupt checkpoint: " + why);
+std::uint64_t fnv1a(std::string_view bytes) {
+  util::Fnv1a h;
+  h.bytes(bytes);
+  return h.value();
 }
-
-/// Whitespace-separated token stream over the checkpoint body.  Every
-/// parse failure throws CheckpointError(kCorrupt) — the caller never sees
-/// a partially decoded checkpoint.
-class Reader {
- public:
-  explicit Reader(std::string_view text) : text_(text) {}
-
-  std::string_view tok() {
-    skip_ws();
-    if (pos_ >= text_.size()) corrupt("truncated");
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() && !is_ws(text_[pos_])) ++pos_;
-    return text_.substr(start, pos_ - start);
-  }
-
-  void expect(std::string_view kw) {
-    const std::string_view t = tok();
-    if (t != kw)
-      corrupt("expected '" + std::string(kw) + "', got '" + std::string(t) +
-              "'");
-  }
-
-  std::uint64_t u64() {
-    const std::string_view t = tok();
-    std::uint64_t v = 0;
-    if (t.empty()) corrupt("empty integer");
-    for (const char c : t) {
-      if (c < '0' || c > '9') corrupt("bad integer '" + std::string(t) + "'");
-      v = v * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    return v;
-  }
-
-  std::uint64_t hex() {
-    const std::string_view t = tok();
-    if (t.empty() || t.size() > 16) corrupt("bad hex '" + std::string(t) + "'");
-    std::uint64_t v = 0;
-    for (const char c : t) {
-      const int d = c >= '0' && c <= '9'   ? c - '0'
-                    : c >= 'a' && c <= 'f' ? c - 'a' + 10
-                                           : -1;
-      if (d < 0) corrupt("bad hex '" + std::string(t) + "'");
-      v = (v << 4) | static_cast<std::uint64_t>(d);
-    }
-    return v;
-  }
-
-  double dbl() { return std::bit_cast<double>(hex()); }
-  bool flag() { return u64() != 0; }
-  std::string str() { return ckpt_decode(tok()); }
-
-  [[nodiscard]] bool done() {
-    skip_ws();
-    return pos_ >= text_.size();
-  }
-
- private:
-  static bool is_ws(char c) {
-    return c == ' ' || c == '\n' || c == '\r' || c == '\t';
-  }
-  void skip_ws() {
-    while (pos_ < text_.size() && is_ws(text_[pos_])) ++pos_;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -121,59 +54,172 @@ const char* checkpoint_kind_name(CheckpointError::Kind k) noexcept {
   return "?";
 }
 
-std::string ckpt_encode(std::string_view s) {
-  if (s.empty()) return "%-";
+// ------------------------------------------------------------------ writer
+
+CheckpointWriter::CheckpointWriter(const CheckpointFormat& format)
+    : body_(format.magic) {
+  put(format.version);
+}
+
+CheckpointWriter& CheckpointWriter::hex(std::uint64_t v) {
+  body_ += ' ';
+  body_ += graph::digest_hex(v);
+  return *this;
+}
+
+/// Percent-encode into one whitespace-free token ('%', ' ', control bytes
+/// escaped; the empty string encodes as "%-").
+void CheckpointWriter::field(std::string_view s) {
+  body_ += ' ';
+  if (s.empty()) {
+    body_ += "%-";
+    return;
+  }
   static constexpr char kHex[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(s.size());
   for (const char c : s) {
     const auto b = static_cast<unsigned char>(c);
     if (b == '%' || b == ' ' || b < 0x20 || b == 0x7F) {
-      out += '%';
-      out += kHex[b >> 4];
-      out += kHex[b & 0xF];
+      body_ += '%';
+      body_ += kHex[b >> 4];
+      body_ += kHex[b & 0xF];
     } else {
-      out += c;
+      body_ += c;
     }
   }
-  return out;
 }
 
-std::string ckpt_decode(std::string_view tok) {
-  if (tok == "%-") return "";
-  std::string out;
-  out.reserve(tok.size());
-  for (std::size_t i = 0; i < tok.size(); ++i) {
-    if (tok[i] != '%') {
-      out += tok[i];
+std::string CheckpointWriter::seal() && {
+  body_ += '\n';
+  return seal_checkpoint(std::move(body_));
+}
+
+// ------------------------------------------------------------------ reader
+
+CheckpointReader::CheckpointReader(std::string_view body,
+                                   std::string_view name)
+    : text_(body), name_(name) {
+  for (std::size_t i = 0; i < text_.size(); ++i)
+    left_ += !is_ws(text_[i]) && (i == 0 || is_ws(text_[i - 1]));
+}
+
+void CheckpointReader::corrupt(const std::string& why) const {
+  throw CheckpointError(CheckpointError::Kind::kCorrupt,
+                        std::string(name_) + ": " + why);
+}
+
+std::string_view CheckpointReader::tok() {
+  if (left_ == 0) corrupt("truncated");
+  while (is_ws(text_[pos_])) ++pos_;
+  const std::size_t start = pos_;
+  while (pos_ < text_.size() && !is_ws(text_[pos_])) ++pos_;
+  --left_;
+  return text_.substr(start, pos_ - start);
+}
+
+void CheckpointReader::expect(std::string_view kw) {
+  const std::string_view t = tok();
+  if (t != kw)
+    corrupt("expected '" + std::string(kw) + "', got '" + std::string(t) +
+            "'");
+}
+
+std::uint64_t CheckpointReader::u64() {
+  const std::string_view t = tok();
+  const auto v = util::parse_u64(t);
+  if (!v) corrupt("bad integer '" + std::string(t) + "'");
+  return *v;
+}
+
+std::uint64_t CheckpointReader::count() {
+  const std::uint64_t n = u64();
+  if (n > left_)
+    corrupt("count " + std::to_string(n) + " exceeds the " +
+            std::to_string(left_) + " tokens left");
+  return n;
+}
+
+std::uint64_t CheckpointReader::hex() {
+  const std::string_view t = tok();
+  if (t.empty() || t.size() > 16) corrupt("bad hex '" + std::string(t) + "'");
+  std::uint64_t v = 0;
+  for (const char c : t) {
+    const int d = hex_digit(c);
+    if (d < 0) corrupt("bad hex '" + std::string(t) + "'");
+    v = (v << 4) | static_cast<std::uint64_t>(d);
+  }
+  return v;
+}
+
+void CheckpointReader::field(std::string& s) {
+  const std::string_view t = tok();
+  s.clear();
+  if (t == "%-") return;
+  s.reserve(t.size());
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    if (t[i] != '%') {
+      s += t[i];
       continue;
     }
-    if (i + 2 >= tok.size()) corrupt("dangling escape in string token");
-    const auto val = [&](char c) -> int {
-      return c >= '0' && c <= '9'   ? c - '0'
-             : c >= 'a' && c <= 'f' ? c - 'a' + 10
-                                    : -1;
-    };
-    const int hi = val(tok[i + 1]);
-    const int lo = val(tok[i + 2]);
+    if (i + 2 >= t.size()) corrupt("dangling escape in string token");
+    const int hi = hex_digit(t[i + 1]);
+    const int lo = hex_digit(t[i + 2]);
     if (hi < 0 || lo < 0) corrupt("bad escape in string token");
-    out += static_cast<char>((hi << 4) | lo);
+    s += static_cast<char>((hi << 4) | lo);
     i += 2;
   }
-  return out;
 }
 
-std::uint64_t ckpt_fnv1a(std::string_view bytes) {
-  std::uint64_t h = kFnvOffset;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  return h;
+// ---------------------------------------------------------------- envelope
+
+std::string seal_checkpoint(std::string body) {
+  const std::uint64_t digest = fnv1a(body);
+  body += kTrailer.substr(1);
+  body += graph::digest_hex(digest);
+  body += '\n';
+  return body;
 }
 
-std::string ckpt_double_bits(double v) {
-  return hex64(std::bit_cast<std::uint64_t>(v));
+CheckpointReader open_checkpoint(std::string_view text,
+                                 const CheckpointFormat& format) {
+  // Digest trailer first: reject truncation/tampering before parsing.
+  const std::size_t at = text.rfind(kTrailer);
+  CheckpointReader trailer(
+      at == std::string_view::npos ? std::string_view{} : text.substr(at + 1),
+      format.name);
+  if (at == std::string_view::npos) trailer.corrupt("missing digest trailer");
+  trailer.expect("digest");
+  const std::uint64_t want = trailer.hex();
+  if (!trailer.done()) trailer.corrupt("trailing bytes after digest");
+  const std::string_view body = text.substr(0, at + 1);
+  if (fnv1a(body) != want) trailer.corrupt("digest mismatch");
+
+  CheckpointReader r(body, format.name);
+  std::string magic;
+  r.get(magic);
+  if (magic != format.magic)
+    throw CheckpointError(CheckpointError::Kind::kVersion,
+                          std::string(format.name) + ": bad magic '" +
+                              magic + "'");
+  std::uint64_t version = 0;
+  r.get(version);
+  if (version != format.version)
+    throw CheckpointError(CheckpointError::Kind::kVersion,
+                          std::string(format.name) + ": format version " +
+                              std::to_string(version) + " (expected " +
+                              std::to_string(format.version) + ")");
+  return r;
+}
+
+std::string read_checkpoint_file(const std::string& path,
+                                 const CheckpointFormat& format) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.good())
+    throw CheckpointError(CheckpointError::Kind::kMissing,
+                          std::string(format.name) + ": no file at " + path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  LGG_CHECK(in.good() || in.eof(), "I/O error reading " << path);
+  return std::move(buf).str();
 }
 
 void write_file_atomic(const std::string& path, const std::string& content) {
@@ -190,158 +236,117 @@ void write_file_atomic(const std::string& path, const std::string& content) {
             "cannot rename " << tmp << " into place at " << path);
 }
 
+// ------------------------------------------------------------- fault state
+
+void write_fault_state(CheckpointWriter& w, const FaultInjector::State& s) {
+  w.put(s.draws, s.counts, s.replay_cursor, s.events.size());
+  for (const FaultEvent& e : s.events)
+    w.line("fe", static_cast<std::uint64_t>(e.site), e.draw, e.detail);
+}
+
+FaultInjector::State read_fault_state(CheckpointReader& r) {
+  FaultInjector::State s;
+  r.get(s.draws, s.counts, s.replay_cursor);
+  s.events.resize(r.count());
+  for (FaultEvent& e : s.events) {
+    std::uint64_t site = 0;
+    r.line("fe", site, e.draw, e.detail);
+    if (site >= gpusim::kNumFaultSites) r.corrupt("bad fault site");
+    e.site = static_cast<gpusim::FaultSite>(site);
+  }
+  return s;
+}
+
+// ------------------------------------------------------- runner checkpoint
+
 std::uint64_t runner_options_fingerprint(const RunnerOptions& opts,
                                          const gpusim::DeviceSpec& dev) {
-  std::uint64_t h = kFnvOffset;
-  fold(h, static_cast<std::uint64_t>(opts.metric));
-  fold(h, opts.threads_per_block);
-  fold(h, static_cast<std::uint64_t>(opts.scheduler));
-  fold(h, static_cast<std::uint64_t>(opts.sancheck));
-  fold(h, static_cast<std::uint64_t>(opts.failover));
-  fold(h, opts.retry.max_retries);
-  fold(h, std::bit_cast<std::uint64_t>(opts.retry.base_backoff_s));
-  fold(h, std::bit_cast<std::uint64_t>(opts.retry.max_backoff_s));
-  fold(h, opts.verify ? 1 : 0);
-  fold(h, opts.salvage ? 1 : 0);
-  fold(h, opts.stream_batch_tests);
-  fold(h, opts.checkpoint_every_chunks);
-  fold(h, opts.faults != nullptr ? 1 : 0);
+  util::Fnv1a h;
+  h.u64(static_cast<std::uint64_t>(opts.metric));
+  h.u64(opts.threads_per_block);
+  h.u64(static_cast<std::uint64_t>(opts.scheduler));
+  h.u64(static_cast<std::uint64_t>(opts.sancheck));
+  h.u64(static_cast<std::uint64_t>(opts.failover));
+  h.u64(opts.retry.max_retries);
+  h.u64(std::bit_cast<std::uint64_t>(opts.retry.base_backoff_s));
+  h.u64(std::bit_cast<std::uint64_t>(opts.retry.max_backoff_s));
+  h.u64(opts.verify ? 1 : 0);
+  h.u64(opts.salvage ? 1 : 0);
+  h.u64(opts.stream_batch_tests);
+  h.u64(opts.checkpoint_every_chunks);
+  h.u64(opts.faults != nullptr ? 1 : 0);
   if (opts.faults != nullptr) {
-    fold(h, opts.faults->seed());
+    h.u64(opts.faults->seed());
     const FaultRates& r = opts.faults->rates();
-    fold(h, std::bit_cast<std::uint64_t>(r.alloc));
-    fold(h, std::bit_cast<std::uint64_t>(r.launch));
-    fold(h, std::bit_cast<std::uint64_t>(r.sm_abort));
-    fold(h, std::bit_cast<std::uint64_t>(r.transfer));
+    h.u64(std::bit_cast<std::uint64_t>(r.alloc));
+    h.u64(std::bit_cast<std::uint64_t>(r.launch));
+    h.u64(std::bit_cast<std::uint64_t>(r.sm_abort));
+    h.u64(std::bit_cast<std::uint64_t>(r.transfer));
   }
-  fold(h, opts.obs != nullptr ? 1 : 0);
-  fold(h, dev.sm_count);
-  fold(h, dev.shared_mem_bits());
-  return h;
+  h.u64(opts.obs != nullptr ? 1 : 0);
+  h.u64(dev.sm_count);
+  h.u64(dev.shared_mem_bits());
+  return h.value();
 }
 
 std::uint64_t plan_digest_of(const std::vector<std::uint64_t>& chunk_tests) {
-  std::uint64_t h = kFnvOffset;
-  fold(h, chunk_tests.size());
-  for (const std::uint64_t t : chunk_tests) fold(h, t);
-  return h;
+  util::Fnv1a h;
+  h.u64(chunk_tests.size());
+  for (const std::uint64_t t : chunk_tests) h.u64(t);
+  return h.value();
 }
 
 std::string encode_checkpoint(const Checkpoint& c) {
-  std::ostringstream os;
-  os << kMagic << " " << kFormatVersion << "\n";
-  os << "graph " << hex64(c.graph_digest) << "\n";
-  os << "fp " << hex64(c.options_fp) << "\n";
-  os << "plan " << hex64(c.plan_digest) << " " << c.n_chunks << "\n";
-  os << "pos " << c.next_chunk << "\n";
-  os << "acc " << c.triangles << " " << (c.exact ? 1 : 0) << " "
-     << c.total_tests << " " << ckpt_double_bits(c.host_time_s) << " "
-     << ckpt_double_bits(c.camping_sum) << " " << ckpt_double_bits(c.tps_sum)
-     << "\n";
-  os << "dev " << c.dev_kernels << " " << c.dev_transactions << " "
-     << ckpt_double_bits(c.dev_kernel_time_s) << " " << c.h2d_bytes << " "
-     << ckpt_double_bits(c.h2d_time_s) << "\n";
+  CheckpointWriter w(kRunnerFormat);
+  w.line("graph").hex(c.graph_digest);
+  w.line("fp").hex(c.options_fp);
+  w.line("plan").hex(c.plan_digest).put(c.n_chunks);
+  w.line("pos", c.next_chunk);
+  w.line("acc", c.triangles, c.exact, c.total_tests, c.host_time_s,
+         c.camping_sum, c.tps_sum);
+  w.line("dev", c.dev_kernels, c.dev_transactions, c.dev_kernel_time_s,
+         c.h2d_bytes, c.h2d_time_s);
   const RecoveryStats& st = c.recovery;
-  os << "rec " << st.faults;
-  for (const std::uint64_t v : st.by_site) os << " " << v;
-  os << " " << st.retries << " " << st.corruptions_detected << " "
-     << st.cpu_failovers << " " << st.stream_failovers << " "
-     << st.failed_chunks << " " << ckpt_double_bits(st.backoff_s) << " "
-     << st.salvaged_warps << " " << st.salvaged_tests << " "
-     << st.recounted_tests << "\n";
-  os << "chunks " << c.chunks.size() << "\n";
-  for (const ChunkRecord& r : c.chunks) {
-    os << "c " << r.chunk << " " << r.tests << " " << r.triangles << " "
-       << (r.shared_resident ? 1 : 0) << " " << static_cast<int>(r.outcome)
-       << " " << r.attempts << " " << r.faults << " " << r.corruptions << " "
-       << (r.certified ? 1 : 0) << " " << ckpt_double_bits(r.backoff_s) << " "
-       << ckpt_double_bits(r.time_s) << " " << r.sm << " "
-       << r.salvaged_warps << " " << r.salvaged_tests << " "
-       << r.recounted_tests << "\n";
-  }
-  os << "sml " << c.sm_lost.size();
-  for (const std::uint8_t v : c.sm_lost) os << " " << static_cast<int>(v);
-  os << "\n";
-  os << "job " << c.job_times_ns.size();
-  for (const std::uint64_t v : c.job_times_ns) os << " " << v;
-  os << "\n";
-  os << "log " << ckpt_encode(c.log) << "\n";
-  os << "fau " << (c.has_faults ? 1 : 0);
-  if (c.has_faults) {
-    os << " " << c.fault_seed;
-    for (const std::uint64_t v : c.faults.draws) os << " " << v;
-    for (const std::uint64_t v : c.faults.counts) os << " " << v;
-    for (const std::uint64_t v : c.faults.replay_cursor) os << " " << v;
-    os << " " << c.faults.events.size();
-  }
-  os << "\n";
-  if (c.has_faults) {
-    for (const FaultEvent& e : c.faults.events)
-      os << "fe " << static_cast<int>(e.site) << " " << e.draw << " "
-         << e.detail << "\n";
-  }
-  os << "obs " << (c.has_obs ? 1 : 0) << "\n";
+  w.line("rec", st.faults, st.by_site, st.retries, st.corruptions_detected,
+         st.cpu_failovers, st.stream_failovers, st.failed_chunks,
+         st.backoff_s, st.salvaged_warps, st.salvaged_tests,
+         st.recounted_tests);
+  w.line("chunks", c.chunks.size());
+  for (const ChunkRecord& r : c.chunks)
+    w.line("c", r.chunk, r.tests, r.triangles, r.shared_resident,
+           static_cast<std::uint64_t>(r.outcome), r.attempts, r.faults,
+           r.corruptions, r.certified, r.backoff_s, r.time_s, r.sm,
+           r.salvaged_warps, r.salvaged_tests, r.recounted_tests);
+  w.line("sml", c.sm_lost);
+  w.line("job", c.job_times_ns);
+  w.line("log", c.log);
+  w.line("fau", c.has_faults);
+  if (c.has_faults) write_fault_state(w.put(c.fault_seed), c.faults);
+  w.line("obs", c.has_obs);
   if (c.has_obs) {
-    os << "trc " << c.tracer.spans.size() << " " << c.tracer.open.size()
-       << " " << c.tracer.top_cursor << " " << c.tracer.dropped << "\n";
-    for (const obs::Span& s : c.tracer.spans) {
-      os << "sp " << ckpt_encode(s.name) << " " << ckpt_encode(s.cat) << " "
-         << s.begin_ns << " " << s.end_ns << " "
-         << static_cast<std::uint64_t>(s.parent + 1) << " " << s.args.size();
-      for (const obs::SpanArg& a : s.args)
-        os << " " << ckpt_encode(a.key) << " " << ckpt_encode(a.json);
-      os << "\n";
+    const obs::TracerState& t = c.tracer;
+    w.line("trc", t.spans.size(), t.open.size(), t.top_cursor, t.dropped);
+    for (const obs::Span& s : t.spans) {
+      w.line("sp", s.name, s.cat, s.begin_ns, s.end_ns,
+             static_cast<std::uint64_t>(s.parent + 1), s.args.size());
+      for (const obs::SpanArg& a : s.args) w.put(a.key, a.json);
     }
-    for (const auto& [idx, cursor] : c.tracer.open)
-      os << "of " << idx << " " << cursor << "\n";
+    for (const auto& [idx, cursor] : t.open) w.line("of", idx, cursor);
     const obs::MetricsState& m = c.metrics;
-    os << "met " << m.counters.size() << " " << m.counters_f.size() << " "
-       << m.gauges.size() << " " << m.histograms.size() << " "
-       << m.help.size() << "\n";
-    for (const auto& [k, v] : m.counters)
-      os << "mc " << ckpt_encode(k) << " " << v << "\n";
-    for (const auto& [k, v] : m.counters_f)
-      os << "mf " << ckpt_encode(k) << " " << ckpt_double_bits(v) << "\n";
-    for (const auto& [k, v] : m.gauges)
-      os << "mg " << ckpt_encode(k) << " " << ckpt_double_bits(v) << "\n";
-    for (const auto& [k, hist] : m.histograms) {
-      os << "mh " << ckpt_encode(k) << " " << hist.bounds.size();
-      for (const double b : hist.bounds) os << " " << ckpt_double_bits(b);
-      os << " " << hist.count.size();
-      for (const std::uint64_t v : hist.count) os << " " << v;
-      os << " " << hist.observations << " " << ckpt_double_bits(hist.sum)
-         << "\n";
-    }
-    for (const auto& [k, v] : m.help)
-      os << "mp " << ckpt_encode(k) << " " << ckpt_encode(v) << "\n";
+    w.line("met", m.counters.size(), m.counters_f.size(), m.gauges.size(),
+           m.histograms.size(), m.help.size());
+    for (const auto& [k, v] : m.counters) w.line("mc", k, v);
+    for (const auto& [k, v] : m.counters_f) w.line("mf", k, v);
+    for (const auto& [k, v] : m.gauges) w.line("mg", k, v);
+    for (const auto& [k, h] : m.histograms)
+      w.line("mh", k, h.bounds, h.count, h.observations, h.sum);
+    for (const auto& [k, v] : m.help) w.line("mp", k, v);
   }
-  std::string body = os.str();
-  body += "digest " + hex64(ckpt_fnv1a(
-              std::string_view(body.data(), body.size()))) + "\n";
-  return body;
+  return std::move(w).seal();
 }
 
 Checkpoint decode_checkpoint(std::string_view text) {
-  // Digest trailer first: reject truncation/tampering before parsing.
-  const std::size_t pos = text.rfind("\ndigest ");
-  if (pos == std::string_view::npos) corrupt("missing digest trailer");
-  const std::string_view body = text.substr(0, pos + 1);
-  Reader trailer(text.substr(pos + 1));
-  trailer.expect("digest");
-  const std::uint64_t want = trailer.hex();
-  if (!trailer.done()) corrupt("trailing bytes after digest");
-  if (ckpt_fnv1a(body) != want) corrupt("digest mismatch");
-
-  Reader r(body);
-  if (r.tok() != kMagic)
-    throw CheckpointError(CheckpointError::Kind::kVersion,
-                          "not a checkpoint file (bad magic)");
-  const std::uint64_t ver = r.u64();
-  if (ver != kFormatVersion)
-    throw CheckpointError(
-        CheckpointError::Kind::kVersion,
-        "unsupported checkpoint format version " + std::to_string(ver));
-
+  CheckpointReader r = open_checkpoint(text, kRunnerFormat);
   Checkpoint c;
   r.expect("graph");
   c.graph_digest = r.hex();
@@ -349,166 +354,89 @@ Checkpoint decode_checkpoint(std::string_view text) {
   c.options_fp = r.hex();
   r.expect("plan");
   c.plan_digest = r.hex();
-  c.n_chunks = r.u64();
-  r.expect("pos");
-  c.next_chunk = r.u64();
-  r.expect("acc");
-  c.triangles = r.u64();
-  c.exact = r.flag();
-  c.total_tests = r.u64();
-  c.host_time_s = r.dbl();
-  c.camping_sum = r.dbl();
-  c.tps_sum = r.dbl();
-  r.expect("dev");
-  c.dev_kernels = r.u64();
-  c.dev_transactions = r.u64();
-  c.dev_kernel_time_s = r.dbl();
-  c.h2d_bytes = r.u64();
-  c.h2d_time_s = r.dbl();
-  r.expect("rec");
+  r.get(c.n_chunks);
+  r.line("pos", c.next_chunk);
+  r.line("acc", c.triangles, c.exact, c.total_tests, c.host_time_s,
+         c.camping_sum, c.tps_sum);
+  r.line("dev", c.dev_kernels, c.dev_transactions, c.dev_kernel_time_s,
+         c.h2d_bytes, c.h2d_time_s);
   RecoveryStats& st = c.recovery;
-  st.faults = r.u64();
-  for (std::uint64_t& v : st.by_site) v = r.u64();
-  st.retries = r.u64();
-  st.corruptions_detected = r.u64();
-  st.cpu_failovers = r.u64();
-  st.stream_failovers = r.u64();
-  st.failed_chunks = r.u64();
-  st.backoff_s = r.dbl();
-  st.salvaged_warps = r.u64();
-  st.salvaged_tests = r.u64();
-  st.recounted_tests = r.u64();
+  r.line("rec", st.faults, st.by_site, st.retries, st.corruptions_detected,
+         st.cpu_failovers, st.stream_failovers, st.failed_chunks,
+         st.backoff_s, st.salvaged_warps, st.salvaged_tests,
+         st.recounted_tests);
   r.expect("chunks");
-  const std::uint64_t n_records = r.u64();
-  if (n_records > c.n_chunks) corrupt("more chunk records than chunks");
-  c.chunks.reserve(n_records);
-  for (std::uint64_t i = 0; i < n_records; ++i) {
-    r.expect("c");
-    ChunkRecord rec;
-    rec.chunk = static_cast<std::uint32_t>(r.u64());
-    rec.tests = r.u64();
-    rec.triangles = r.u64();
-    rec.shared_resident = r.flag();
-    const std::uint64_t outcome = r.u64();
+  const std::uint64_t n_records = r.count();
+  if (n_records > c.n_chunks) r.corrupt("more chunk records than chunks");
+  c.chunks.resize(n_records);
+  for (ChunkRecord& rec : c.chunks) {
+    std::uint64_t outcome = 0;
+    r.line("c", rec.chunk, rec.tests, rec.triangles, rec.shared_resident,
+           outcome, rec.attempts, rec.faults, rec.corruptions, rec.certified,
+           rec.backoff_s, rec.time_s, rec.sm, rec.salvaged_warps,
+           rec.salvaged_tests, rec.recounted_tests);
     if (outcome > static_cast<std::uint64_t>(ChunkOutcome::kSalvaged))
-      corrupt("bad chunk outcome");
+      r.corrupt("bad chunk outcome");
     rec.outcome = static_cast<ChunkOutcome>(outcome);
-    rec.attempts = static_cast<std::uint32_t>(r.u64());
-    rec.faults = static_cast<std::uint32_t>(r.u64());
-    rec.corruptions = static_cast<std::uint32_t>(r.u64());
-    rec.certified = r.flag();
-    rec.backoff_s = r.dbl();
-    rec.time_s = r.dbl();
-    rec.sm = static_cast<std::uint32_t>(r.u64());
-    rec.salvaged_warps = r.u64();
-    rec.salvaged_tests = r.u64();
-    rec.recounted_tests = r.u64();
-    c.chunks.push_back(std::move(rec));
   }
-  r.expect("sml");
-  c.sm_lost.resize(r.u64());
-  for (std::uint8_t& v : c.sm_lost) v = r.flag() ? 1 : 0;
-  r.expect("job");
-  c.job_times_ns.resize(r.u64());
-  for (std::uint64_t& v : c.job_times_ns) v = r.u64();
-  r.expect("log");
-  c.log = r.str();
-  r.expect("fau");
-  c.has_faults = r.flag();
+  r.line("sml", c.sm_lost);
+  r.line("job", c.job_times_ns);
+  r.line("log", c.log);
+  r.line("fau", c.has_faults);
   if (c.has_faults) {
-    c.fault_seed = r.u64();
-    for (std::uint64_t& v : c.faults.draws) v = r.u64();
-    for (std::uint64_t& v : c.faults.counts) v = r.u64();
-    for (std::uint64_t& v : c.faults.replay_cursor) v = r.u64();
-    const std::uint64_t n_events = r.u64();
-    c.faults.events.reserve(n_events);
-    for (std::uint64_t i = 0; i < n_events; ++i) {
-      r.expect("fe");
-      FaultEvent e;
-      const std::uint64_t site = r.u64();
-      if (site >= gpusim::kNumFaultSites) corrupt("bad fault site");
-      e.site = static_cast<gpusim::FaultSite>(site);
-      e.draw = r.u64();
-      e.detail = r.u64();
-      c.faults.events.push_back(e);
-    }
+    r.get(c.fault_seed);
+    c.faults = read_fault_state(r);
   }
-  r.expect("obs");
-  c.has_obs = r.flag();
+  r.line("obs", c.has_obs);
   if (c.has_obs) {
+    obs::TracerState& t = c.tracer;
     r.expect("trc");
-    const std::uint64_t n_spans = r.u64();
-    const std::uint64_t n_open = r.u64();
-    c.tracer.top_cursor = r.u64();
-    c.tracer.dropped = r.u64();
-    c.tracer.spans.reserve(n_spans);
-    for (std::uint64_t i = 0; i < n_spans; ++i) {
-      r.expect("sp");
-      obs::Span s;
-      s.name = r.str();
-      s.cat = r.str();
-      s.begin_ns = r.u64();
-      s.end_ns = r.u64();
-      const std::uint64_t parent = r.u64();
-      if (parent > i) corrupt("span parent out of range");
+    t.spans.resize(r.count());
+    t.open.resize(r.count());
+    r.get(t.top_cursor, t.dropped);
+    for (std::size_t i = 0; i < t.spans.size(); ++i) {
+      obs::Span& s = t.spans[i];
+      std::uint64_t parent = 0;
+      r.line("sp", s.name, s.cat, s.begin_ns, s.end_ns, parent);
+      if (parent > i) r.corrupt("span parent out of range");
       s.parent = static_cast<std::int64_t>(parent) - 1;
-      const std::uint64_t n_args = r.u64();
-      s.args.reserve(n_args);
-      for (std::uint64_t a = 0; a < n_args; ++a) {
-        obs::SpanArg arg;
-        arg.key = r.str();
-        arg.json = r.str();
-        s.args.push_back(std::move(arg));
-      }
-      c.tracer.spans.push_back(std::move(s));
+      s.args.resize(r.count());
+      for (obs::SpanArg& a : s.args) r.get(a.key, a.json);
     }
-    c.tracer.open.reserve(n_open);
-    for (std::uint64_t i = 0; i < n_open; ++i) {
-      r.expect("of");
-      const std::uint64_t idx = r.u64();
-      const std::uint64_t cursor = r.u64();
-      c.tracer.open.emplace_back(idx, cursor);
+    for (auto& [idx, cursor] : t.open) {
+      r.line("of", idx, cursor);
+      if (idx >= t.spans.size() && idx != obs::Tracer::kDropped)
+        r.corrupt("open frame index out of range");
     }
+    obs::MetricsState& m = c.metrics;
     r.expect("met");
-    const std::uint64_t nc = r.u64();
-    const std::uint64_t ncf = r.u64();
-    const std::uint64_t ng = r.u64();
-    const std::uint64_t nh = r.u64();
-    const std::uint64_t nhelp = r.u64();
-    for (std::uint64_t i = 0; i < nc; ++i) {
-      r.expect("mc");
-      std::string k = r.str();
-      c.metrics.counters[std::move(k)] = r.u64();
-    }
-    for (std::uint64_t i = 0; i < ncf; ++i) {
-      r.expect("mf");
-      std::string k = r.str();
-      c.metrics.counters_f[std::move(k)] = r.dbl();
-    }
-    for (std::uint64_t i = 0; i < ng; ++i) {
-      r.expect("mg");
-      std::string k = r.str();
-      c.metrics.gauges[std::move(k)] = r.dbl();
-    }
-    for (std::uint64_t i = 0; i < nh; ++i) {
-      r.expect("mh");
-      std::string k = r.str();
+    const std::uint64_t n_counters = r.count();
+    const std::uint64_t n_counters_f = r.count();
+    const std::uint64_t n_gauges = r.count();
+    const std::uint64_t n_histograms = r.count();
+    const std::uint64_t n_help = r.count();
+    // n lines "kw <key> <value>" into `map`; a repeated key keeps the last.
+    const auto entries = [&r](std::string_view kw, std::uint64_t n,
+                              auto& map) {
+      for (std::uint64_t i = 0; i < n; ++i) {
+        std::string k;
+        typename std::remove_reference_t<decltype(map)>::mapped_type v{};
+        r.line(kw, k, v);
+        map.insert_or_assign(std::move(k), std::move(v));
+      }
+    };
+    entries("mc", n_counters, m.counters);
+    entries("mf", n_counters_f, m.counters_f);
+    entries("mg", n_gauges, m.gauges);
+    for (std::uint64_t i = 0; i < n_histograms; ++i) {
+      std::string k;
       obs::Histogram h;
-      h.bounds.resize(r.u64());
-      for (double& b : h.bounds) b = r.dbl();
-      h.count.resize(r.u64());
-      for (std::uint64_t& v : h.count) v = r.u64();
-      h.observations = r.u64();
-      h.sum = r.dbl();
-      c.metrics.histograms[std::move(k)] = std::move(h);
+      r.line("mh", k, h.bounds, h.count, h.observations, h.sum);
+      m.histograms.insert_or_assign(std::move(k), std::move(h));
     }
-    for (std::uint64_t i = 0; i < nhelp; ++i) {
-      r.expect("mp");
-      std::string k = r.str();
-      c.metrics.help[std::move(k)] = r.str();
-    }
+    entries("mp", n_help, m.help);
   }
-  if (!r.done()) corrupt("trailing data after checkpoint body");
+  if (!r.done()) r.corrupt("trailing data after checkpoint body");
   return c;
 }
 
@@ -517,14 +445,7 @@ void save_checkpoint(const std::string& path, const Checkpoint& c) {
 }
 
 Checkpoint load_checkpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good())
-    throw CheckpointError(CheckpointError::Kind::kMissing,
-                          "no checkpoint file at " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  LGG_CHECK(in.good() || in.eof(), "I/O error reading checkpoint " << path);
-  return decode_checkpoint(buf.str());
+  return decode_checkpoint(read_checkpoint_file(path, kRunnerFormat));
 }
 
 }  // namespace lgg::resilience

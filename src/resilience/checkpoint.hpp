@@ -16,7 +16,11 @@
 // a plan digest over the chunk test counts (same Algorithm 1 output).
 #pragma once
 
+#include <array>
+#include <bit>
+#include <concepts>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -113,22 +117,150 @@ void save_checkpoint(const std::string& path, const Checkpoint& c);
 /// the file does not exist, kCorrupt / kVersion from decode.
 [[nodiscard]] Checkpoint load_checkpoint(const std::string& path);
 
-// ---- low-level helpers (shared with the serving layer's checkpoint) ----
+// ---- the checkpoint codec (shared with the serving layer's checkpoint) ----
+//
+// A checkpoint is a text body of keyword-led lines of space-separated
+// tokens, opened by "<magic> <version>" and sealed by a trailer line
+// "digest <FNV-1a-64 of the body in hex>".
 
-/// Percent-encode a string into a single whitespace-free token ('%', ' ',
-/// control bytes escaped; the empty string encodes as "%-").
-[[nodiscard]] std::string ckpt_encode(std::string_view s);
-/// Inverse of ckpt_encode; throws CheckpointError(kCorrupt) on bad input.
-[[nodiscard]] std::string ckpt_decode(std::string_view tok);
+/// What tells one checkpoint format from another: the first two tokens
+/// of its body and the prefix of every error its decoder throws.
+struct CheckpointFormat {
+  std::string_view magic;
+  std::uint64_t version = 0;
+  std::string_view name;  // error prefix, e.g. "serve checkpoint"
+};
 
-/// FNV-1a 64-bit over a byte string (the digest trailer primitive).
-[[nodiscard]] std::uint64_t ckpt_fnv1a(std::string_view bytes);
+/// Builds a checkpoint body line by line.  Fields are typed: integers
+/// (bool as 0/1) in decimal, doubles as their bit pattern in hex, strings
+/// percent-encoded, a std::array as its elements, a std::vector as its
+/// size then its elements.  CheckpointReader reads the same lists back.
+class CheckpointWriter {
+ public:
+  /// Starts the body with "<magic> <version>".
+  explicit CheckpointWriter(const CheckpointFormat& format);
 
-/// Exact double round-trip via the IEEE-754 bit pattern in hex.
-[[nodiscard]] std::string ckpt_double_bits(double v);
+  /// Start a new line: keyword `kw`, then `fields`.
+  template <class... Ts>
+  CheckpointWriter& line(std::string_view kw, const Ts&... fields) {
+    body_ += '\n';
+    body_ += kw;
+    return put(fields...);
+  }
+  /// Append `fields` to the current line.
+  template <class... Ts>
+  CheckpointWriter& put(const Ts&... fields) {
+    (field(fields), ...);
+    return *this;
+  }
+  /// Append a digest as 16 hex digits.
+  CheckpointWriter& hex(std::uint64_t v);
+
+  /// The finished body with its digest trailer (seal_checkpoint).
+  [[nodiscard]] std::string seal() &&;
+
+ private:
+  template <std::integral T>
+  void field(T v) {
+    body_ += ' ';
+    body_ += std::to_string(static_cast<std::uint64_t>(v));
+  }
+  void field(double v) { hex(std::bit_cast<std::uint64_t>(v)); }
+  void field(std::string_view s);
+  template <class T, std::size_t N>
+  void field(const std::array<T, N>& a) {
+    for (const T& v : a) field(v);
+  }
+  template <class T>
+  void field(const std::vector<T>& v) {
+    field(v.size());
+    for (const T& x : v) field(x);
+  }
+
+  std::string body_;
+};
+
+/// Strict reader over a checkpoint body.  Every failure — truncation, a
+/// wrong keyword, a signed, overflowing or out-of-range integer, a bad
+/// escape, a length larger than the tokens left — throws
+/// CheckpointError(kCorrupt), so no caller sees a partial decode.
+class CheckpointReader {
+ public:
+  CheckpointReader(std::string_view body, std::string_view name);
+
+  /// Read a line written by CheckpointWriter::line(kw, fields...).
+  template <class... Ts>
+  void line(std::string_view kw, Ts&... fields) {
+    expect(kw);
+    get(fields...);
+  }
+  /// Read fields written by CheckpointWriter::put(fields...).
+  template <class... Ts>
+  void get(Ts&... fields) {
+    (field(fields), ...);
+  }
+  void expect(std::string_view kw);
+  /// A length: a u64 no larger than the number of tokens left, so a
+  /// corrupt count fails here rather than in an allocation.
+  std::uint64_t count();
+  std::uint64_t hex();
+  /// True when only whitespace is left.
+  [[nodiscard]] bool done() const { return left_ == 0; }
+
+  [[noreturn]] void corrupt(const std::string& why) const;
+
+ private:
+  std::string_view tok();
+  std::uint64_t u64();
+
+  template <std::unsigned_integral T>
+  void field(T& v) {
+    const std::uint64_t x = u64();
+    if (x > std::numeric_limits<T>::max())
+      corrupt("integer " + std::to_string(x) + " out of range");
+    v = static_cast<T>(x);
+  }
+  void field(double& v) { v = std::bit_cast<double>(hex()); }
+  void field(std::string& s);
+  template <class T, std::size_t N>
+  void field(std::array<T, N>& a) {
+    for (T& v : a) field(v);
+  }
+  template <class T>
+  void field(std::vector<T>& v) {
+    v.resize(count());
+    for (T& x : v) field(x);
+  }
+
+  std::string_view text_;
+  std::string_view name_;
+  std::size_t pos_ = 0;
+  std::size_t left_ = 0;  // tokens not yet read
+};
+
+/// Append the trailer "digest <FNV-1a-64 of body>\n" to `body`, which
+/// must end in a newline.
+[[nodiscard]] std::string seal_checkpoint(std::string body);
+
+/// Check `text`'s digest trailer (kCorrupt), then its magic and version
+/// (kVersion); returns a reader over the body positioned after the
+/// version.  The reader views `text`, which must outlive it.
+[[nodiscard]] CheckpointReader open_checkpoint(std::string_view text,
+                                               const CheckpointFormat& format);
+
+/// The contents of the checkpoint file at `path`; kMissing when it cannot
+/// be opened.
+[[nodiscard]] std::string read_checkpoint_file(const std::string& path,
+                                               const CheckpointFormat& format);
 
 /// Write `content` to `path` atomically (temp file + rename).  Throws
 /// lgg::Error on I/O failure.
 void write_file_atomic(const std::string& path, const std::string& content);
+
+/// The fault injector's position: the draws, counts and replay cursors of
+/// every site and the event count end the current line, then one
+/// "fe <site> <draw> <detail>" line follows per recorded event.
+void write_fault_state(CheckpointWriter& w, const FaultInjector::State& s);
+[[nodiscard]] FaultInjector::State read_fault_state(CheckpointReader& r);
 
 }  // namespace lgg::resilience

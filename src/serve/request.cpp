@@ -1,12 +1,14 @@
 #include "serve/request.hpp"
 
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/trace.hpp"
 #include "util/error.hpp"
+#include "util/parse.hpp"
 
 namespace lgg::serve {
 
@@ -26,12 +28,17 @@ std::vector<std::string> split_ws(std::string_view line) {
 }
 
 std::uint64_t parse_u64(const std::string& tok, std::string_view line) {
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(tok.c_str(), &end, 10);
-  LGG_CHECK(end != nullptr && *end == '\0' && !tok.empty(),
-            "serve: bad integer '" + tok + "' in request: " +
-                std::string(line));
-  return v;
+  const auto v = util::parse_u64(tok);
+  LGG_CHECK(v.has_value(), "serve: bad integer '" + tok + "' in request: " +
+                               std::string(line));
+  return *v;
+}
+
+graph::Vertex parse_vertex(const std::string& tok, std::string_view line) {
+  const std::uint64_t v = parse_u64(tok, line);
+  LGG_CHECK(v <= std::numeric_limits<graph::Vertex>::max(),
+            "serve: vertex id out of range: " + std::string(line));
+  return static_cast<graph::Vertex>(v);
 }
 
 double parse_double(const std::string& tok, std::string_view line) {
@@ -169,11 +176,11 @@ Request parse_request_line(std::string_view line) {
   } else if (q == "bfs") {
     r.kind = QueryKind::kBfs;
     want(1);
-    r.vertex = static_cast<graph::Vertex>(parse_u64(tok[3], line));
+    r.vertex = parse_vertex(tok[3], line);
   } else if (q == "cc") {
     r.kind = QueryKind::kCc;
     want(1);
-    r.vertex = static_cast<graph::Vertex>(parse_u64(tok[3], line));
+    r.vertex = parse_vertex(tok[3], line);
   } else {
     LGG_THROW("serve: unknown query '" + q + "': " + std::string(line));
   }

@@ -1,11 +1,7 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <exception>
-#include <fstream>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -531,178 +527,50 @@ void Service::restore_state(const ServeState& s) {
 
 namespace {
 
-constexpr const char* kServeMagic = "lggsrvckpt";
-constexpr std::uint64_t kServeFormatVersion = 1;
-
-using resilience::CheckpointError;
-
-[[noreturn]] void srv_corrupt(const std::string& why) {
-  throw CheckpointError(CheckpointError::Kind::kCorrupt,
-                        "serve checkpoint: " + why);
-}
-
-std::string srv_hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return std::string(buf, 16);
-}
-
-/// Whitespace tokenizer over the checkpoint body; every failure is a
-/// typed kCorrupt (truncation and tampering look the same to a parser).
-class SrvReader {
- public:
-  explicit SrvReader(std::string_view text) : is_(std::string(text)) {}
-
-  std::string tok() {
-    std::string t;
-    if (!(is_ >> t)) srv_corrupt("unexpected end of data");
-    return t;
-  }
-  void expect(const char* keyword) {
-    const std::string t = tok();
-    if (t != keyword)
-      srv_corrupt("expected '" + std::string(keyword) + "', got '" + t + "'");
-  }
-  std::uint64_t u64() {
-    const std::string t = tok();
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(t.c_str(), &end, 10);
-    if (errno != 0 || end == t.c_str() || *end != '\0')
-      srv_corrupt("bad integer '" + t + "'");
-    return static_cast<std::uint64_t>(v);
-  }
-  std::uint64_t hex() {
-    const std::string t = tok();
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(t.c_str(), &end, 16);
-    if (errno != 0 || end == t.c_str() || *end != '\0')
-      srv_corrupt("bad hex value '" + t + "'");
-    return static_cast<std::uint64_t>(v);
-  }
-  std::string str() { return resilience::ckpt_decode(tok()); }
-  bool done() {
-    std::string t;
-    return !(is_ >> t);
-  }
-
- private:
-  std::istringstream is_;
-};
+constexpr resilience::CheckpointFormat kServeFormat{"lggsrvckpt", 1,
+                                                    "serve checkpoint"};
 
 }  // namespace
 
 std::string encode_serve_state(const ServeState& s) {
-  std::string body;
-  body += std::string(kServeMagic) + " " +
-          std::to_string(kServeFormatVersion) + "\n";
-  body += "id " + std::to_string(s.next_id) + "\n";
-  body += "drain " + std::to_string(s.drain_seq) + "\n";
-  body += "log " + resilience::ckpt_encode(s.log) + "\n";
-  body += "cache " + std::to_string(s.cache.tick) + " " +
-          std::to_string(s.cache.evictions) + " " +
-          std::to_string(s.cache.entries.size()) + "\n";
+  resilience::CheckpointWriter w(kServeFormat);
+  w.line("id", s.next_id);
+  w.line("drain", s.drain_seq);
+  w.line("log", s.log);
+  w.line("cache", s.cache.tick, s.cache.evictions, s.cache.entries.size());
   for (const ResultCache::Snapshot::Entry& e : s.cache.entries)
-    body += "e " + srv_hex64(e.key.digest) + " " +
-            resilience::ckpt_encode(e.key.canonical) + " " +
-            std::to_string(e.key.seed) + " " + std::to_string(e.tick) + " " +
-            resilience::ckpt_encode(e.body) + "\n";
-  body += "fau " + std::string(s.has_faults ? "1" : "0") + "\n";
-  if (s.has_faults) {
-    body += "fst";
-    for (const std::uint64_t d : s.faults.draws)
-      body += " " + std::to_string(d);
-    for (const std::uint64_t c : s.faults.counts)
-      body += " " + std::to_string(c);
-    for (const std::uint64_t r : s.faults.replay_cursor)
-      body += " " + std::to_string(r);
-    body += " " + std::to_string(s.faults.events.size()) + "\n";
-    for (const resilience::FaultEvent& e : s.faults.events)
-      body += "fe " + std::to_string(static_cast<int>(e.site)) + " " +
-              std::to_string(e.draw) + " " + std::to_string(e.detail) + "\n";
-  }
-  body += "digest " + srv_hex64(resilience::ckpt_fnv1a(body)) + "\n";
-  return body;
+    w.line("e").hex(e.key.digest).put(e.key.canonical, e.key.seed, e.tick,
+                                      e.body);
+  w.line("fau", s.has_faults);
+  if (s.has_faults) resilience::write_fault_state(w.line("fst"), s.faults);
+  return std::move(w).seal();
 }
 
 ServeState decode_serve_state(std::string_view text) {
-  // Digest trailer first: reject truncation/tampering before parsing.
-  const std::size_t at = text.rfind("\ndigest ");
-  if (at == std::string_view::npos)
-    srv_corrupt("missing digest trailer");
-  const std::string_view body = text.substr(0, at + 1);
-  SrvReader trailer(text.substr(at + 1));
-  trailer.expect("digest");
-  const std::uint64_t stored = trailer.hex();
-  if (!trailer.done()) srv_corrupt("trailing data after digest");
-  if (stored != resilience::ckpt_fnv1a(body))
-    srv_corrupt("digest mismatch (file is truncated or tampered)");
-
-  SrvReader r(body);
-  const std::string magic = r.tok();
-  if (magic != kServeMagic)
-    throw CheckpointError(CheckpointError::Kind::kVersion,
-                          "serve checkpoint: bad magic '" + magic + "'");
-  const std::uint64_t version = r.u64();
-  if (version != kServeFormatVersion)
-    throw CheckpointError(
-        CheckpointError::Kind::kVersion,
-        "serve checkpoint: format version " + std::to_string(version) +
-            " (expected " + std::to_string(kServeFormatVersion) + ")");
-
+  resilience::CheckpointReader r =
+      resilience::open_checkpoint(text, kServeFormat);
   ServeState s;
-  r.expect("id");
-  s.next_id = r.u64();
-  r.expect("drain");
-  s.drain_seq = r.u64();
-  r.expect("log");
-  s.log = r.str();
-  r.expect("cache");
-  s.cache.tick = r.u64();
-  s.cache.evictions = r.u64();
-  const std::uint64_t n_entries = r.u64();
+  r.line("id", s.next_id);
+  r.line("drain", s.drain_seq);
+  r.line("log", s.log);
+  r.line("cache", s.cache.tick, s.cache.evictions);
+  const std::uint64_t n_entries = r.count();
   if (n_entries > s.cache.tick)
-    srv_corrupt("more cache entries than logical ticks");
-  s.cache.entries.reserve(static_cast<std::size_t>(n_entries));
-  for (std::uint64_t i = 0; i < n_entries; ++i) {
+    r.corrupt("more cache entries than logical ticks");
+  s.cache.entries.resize(n_entries);
+  for (ResultCache::Snapshot::Entry& e : s.cache.entries) {
     r.expect("e");
-    ResultCache::Snapshot::Entry e;
     e.key.digest = r.hex();
-    e.key.canonical = r.str();
-    e.key.seed = r.u64();
-    e.tick = r.u64();
-    e.body = r.str();
+    r.get(e.key.canonical, e.key.seed, e.tick, e.body);
     if (e.tick > s.cache.tick)
-      srv_corrupt("cache entry tick beyond the logical clock");
-    s.cache.entries.push_back(std::move(e));
+      r.corrupt("cache entry tick beyond the logical clock");
   }
-  r.expect("fau");
-  s.has_faults = r.u64() != 0;
+  r.line("fau", s.has_faults);
   if (s.has_faults) {
     r.expect("fst");
-    for (std::size_t i = 0; i < gpusim::kNumFaultSites; ++i)
-      s.faults.draws[i] = r.u64();
-    for (std::size_t i = 0; i < gpusim::kNumFaultSites; ++i)
-      s.faults.counts[i] = r.u64();
-    for (std::size_t i = 0; i < gpusim::kNumFaultSites; ++i)
-      s.faults.replay_cursor[i] = r.u64();
-    const std::uint64_t n_events = r.u64();
-    s.faults.events.reserve(static_cast<std::size_t>(n_events));
-    for (std::uint64_t i = 0; i < n_events; ++i) {
-      r.expect("fe");
-      const std::uint64_t site = r.u64();
-      if (site >= gpusim::kNumFaultSites)
-        srv_corrupt("fault event site out of range");
-      resilience::FaultEvent e;
-      e.site = static_cast<gpusim::FaultSite>(site);
-      e.draw = r.u64();
-      e.detail = r.u64();
-      s.faults.events.push_back(e);
-    }
+    s.faults = resilience::read_fault_state(r);
   }
-  if (!r.done()) srv_corrupt("trailing data after the last section");
+  if (!r.done()) r.corrupt("trailing data after the last section");
   return s;
 }
 
@@ -711,13 +579,8 @@ void save_serve_state(const std::string& path, const ServeState& s) {
 }
 
 ServeState load_serve_state(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in)
-    throw CheckpointError(CheckpointError::Kind::kMissing,
-                          "serve checkpoint: cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return decode_serve_state(buf.str());
+  return decode_serve_state(
+      resilience::read_checkpoint_file(path, kServeFormat));
 }
 
 }  // namespace lgg::serve

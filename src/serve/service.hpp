@@ -106,9 +106,10 @@ struct ServeState {
   resilience::FaultInjector::State faults;
 };
 
-/// Serialize / parse the serve checkpoint (same primitives and digest
-/// trailer as the resilient runner's format).  decode throws
-/// resilience::CheckpointError (kCorrupt / kVersion).
+/// Serialize / parse the serve checkpoint, built on the resilient
+/// runner's checkpoint codec (writer, reader, digest envelope and fault
+/// state section).  decode throws resilience::CheckpointError (kCorrupt /
+/// kVersion).
 [[nodiscard]] std::string encode_serve_state(const ServeState& s);
 [[nodiscard]] ServeState decode_serve_state(std::string_view text);
 

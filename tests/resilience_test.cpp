@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "checkpoint_craft.hpp"
 #include "lgg.hpp"
 
 namespace {
@@ -676,6 +677,58 @@ TEST(CheckpointResume, MissingAndIncompatibleCheckpointsAreTyped) {
     opts.threads_per_block = 64;
     expect_kind(opts, g, resilience::CheckpointError::Kind::kPlanMismatch);
   }
+}
+
+TEST(CheckpointDecode, CraftedLengthsAndIntegersAreCorrupt) {
+  // Every section populated, so every length field is on some line.
+  resilience::Checkpoint c;
+  c.n_chunks = 2;
+  c.next_chunk = 1;
+  c.chunks.push_back(resilience::ChunkRecord{});
+  c.sm_lost = {0, 1};
+  c.job_times_ns = {5, 6};
+  c.log = "chunk 0 ok\n";
+  c.has_faults = true;
+  c.fault_seed = 7;
+  c.faults.events.push_back(
+      resilience::FaultEvent{FaultSite::kLaunch, 3, 0});
+  c.has_obs = true;
+  obs::Span span;
+  span.name = "run";
+  span.args.push_back(obs::SpanArg{"k", "1"});
+  c.tracer.spans.push_back(span);
+  c.tracer.open.emplace_back(0, 0);
+  c.metrics.counters["a"] = 1;
+  c.metrics.counters_f["b"] = 0.5;
+  c.metrics.gauges["g"] = 2.0;
+  c.metrics.histograms["h"] = obs::Histogram{{1.0}, {1, 0}, 1, 0.5};
+  c.metrics.help["a"] = "help";
+  const std::string text = resilience::encode_checkpoint(c);
+  ASSERT_EQ(resilience::encode_checkpoint(resilience::decode_checkpoint(text)),
+            text);
+
+  constexpr std::size_t kFeCount = 3 + 3 * gpusim::kNumFaultSites;
+  resilience::expect_all_corrupt(
+      text,
+      {
+          {"sml", 1, "4000000000000"},
+          {"chunks", 1, "18446744073709551615"},
+          {"job", 1, "4000000000000"},
+          {"fau", kFeCount, "4000000000000"},
+          {"trc", 1, "4000000000000 1 0 0"},
+          {"trc", 2, "4000000000000 0 0"},
+          {"sp", 6, "4000000000000"},
+          {"met", 1, "4000000000000 1 1 1 1"},
+          {"met", 5, "4000000000000"},
+          {"mh", 2, "4000000000000"},
+          {"mh", 4, "4000000000000"},
+          {"of", 1, "1 0"},
+          {"pos", 1, "+5"},
+          {"pos", 1, "-1"},
+          {"pos", 1, "100000000000000000000"},
+          {"acc", 1, "18446744073709551616 1 0 0 0 0"},
+      },
+      [](const std::string& t) { return resilience::decode_checkpoint(t); });
 }
 
 // ----------------------------------------------------------- fault campaign

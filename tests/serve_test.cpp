@@ -10,6 +10,7 @@
 #include <tuple>
 #include <vector>
 
+#include "checkpoint_craft.hpp"
 #include "core/hybrid.hpp"
 #include "core/triangle_cpu.hpp"
 #include "graph/bfs.hpp"
@@ -503,7 +504,9 @@ TEST(ServeFaults, ResponsesByteIdenticalAcrossThreadsUnderFaults) {
   EXPECT_NE(res1.find(fault_free), std::string::npos);
 }
 
-TEST(ServeState, EncodeDecodeRoundTripAndTamperRejection) {
+/// A serve state with a cache entry and a fault event: every section of
+/// the serve checkpoint is present.
+serve::ServeState sample_serve_state() {
   serve::ServeState st;
   st.next_id = 17;
   st.drain_seq = 3;
@@ -520,6 +523,12 @@ TEST(ServeState, EncodeDecodeRoundTripAndTamperRejection) {
   st.faults.counts = {1, 0, 0, 0};
   st.faults.events.push_back(
       resilience::FaultEvent{gpusim::FaultSite::kAlloc, 2, 64});
+  return st;
+}
+
+TEST(ServeState, EncodeDecodeRoundTripAndTamperRejection) {
+  const serve::ServeState st = sample_serve_state();
+  const serve::ResultCache::Snapshot::Entry& e = st.cache.entries[0];
 
   const std::string text = serve::encode_serve_state(st);
   const serve::ServeState back = serve::decode_serve_state(text);
@@ -542,6 +551,55 @@ TEST(ServeState, EncodeDecodeRoundTripAndTamperRejection) {
   } catch (const resilience::CheckpointError& err) {
     EXPECT_EQ(err.kind(), resilience::CheckpointError::Kind::kCorrupt);
   }
+}
+
+TEST(ServeState, CraftedLengthsAndIntegersAreCorrupt) {
+  const std::string text = serve::encode_serve_state(sample_serve_state());
+  constexpr std::size_t kFeCount = 1 + 3 * gpusim::kNumFaultSites;
+  resilience::expect_all_corrupt(
+      text,
+      {
+          {"fst", kFeCount, "18446744073709551615"},
+          {"fst", kFeCount, "-1"},
+          {"cache", 1, "18446744073709551615 0 4000000000000"},
+          {"id", 1, "+5"},
+          {"id", 1, "-1"},
+          {"drain", 1, "100000000000000000000"},
+          {"e", 3, "-1 2 triangles=9"},
+      },
+      [](const std::string& t) { return serve::decode_serve_state(t); });
+}
+
+TEST(CheckpointPinned, FingerprintsDigestsAndServeBytesAreStable) {
+  // Values persisted in checkpoints: a change here makes every existing
+  // checkpoint unusable, so it must be a deliberate format change.
+  resilience::RunnerOptions opts;
+  opts.threads_per_block = 64;
+  opts.retry.max_retries = 2;
+  opts.stream_batch_tests = 1000;
+  opts.checkpoint_every_chunks = 3;
+  const gpusim::DeviceSpec& dev = gpusim::tesla_c1060();
+  EXPECT_EQ(resilience::runner_options_fingerprint(opts, dev),
+            0xca346b9b442ed6bbu);
+  resilience::FaultInjector inj(7, resilience::FaultRates::uniform(0.05));
+  opts.faults = &inj;
+  EXPECT_EQ(resilience::runner_options_fingerprint(opts, dev),
+            0x622eb4c5dfb5db15u);
+  EXPECT_EQ(resilience::plan_digest_of({0, 3, 45, 1ull << 33, 7}),
+            0xb86ef6c47134df6bu);
+  EXPECT_EQ(serve::encode_serve_state(sample_serve_state()),
+            "lggsrvckpt 1\n"
+            "id 17\n"
+            "drain 3\n"
+            "log req%20id=0%20tenant=a%20graph=g%20query=\"triangles\"%20"
+            "cache=miss%0a\n"
+            "cache 5 1 1\n"
+            "e 000000001234abcd triangles 0 2 "
+            "triangles=9%20backend=resilient\n"
+            "fau 1\n"
+            "fst 4 3 2 1 1 0 0 0 0 0 0 0 1\n"
+            "fe 0 2 64\n"
+            "digest f8d36c4d1734cdf3\n");
 }
 
 TEST(ServeState, ServiceRestoreReproducesCacheAndLogBehavior) {
@@ -750,6 +808,16 @@ TEST(ServeRequest, ParseAndCanonicalRoundTrip) {
   EXPECT_THROW(serve::parse_request_line("a g frobnicate"), Error);
   EXPECT_THROW(serve::parse_request_line("a g kclique 99"), Error);
   EXPECT_THROW(serve::parse_request_line("a g doulion 1.5 2"), Error);
+  // Strict integers: no sign, no overflow, vertex ids fit 32 bits.
+  EXPECT_THROW(serve::parse_request_line("a g bfs 4294967296"), Error);
+  EXPECT_THROW(serve::parse_request_line("a g cc 4294967297"), Error);
+  EXPECT_THROW(serve::parse_request_line("a g bfs -1"), Error);
+  EXPECT_THROW(serve::parse_request_line("a g bfs +5"), Error);
+  EXPECT_THROW(serve::parse_request_line("a g wedges 99999999999999999999 1"),
+               Error);
+  EXPECT_THROW(serve::parse_request_line("a g kclique 3x"), Error);
+  EXPECT_EQ(serve::parse_request_line("a g cc 4294967295").vertex,
+            4294967295u);
 }
 
 }  // namespace

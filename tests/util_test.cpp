@@ -12,6 +12,7 @@
 
 #include "util/bits.hpp"
 #include "util/error.hpp"
+#include "util/parse.hpp"
 #include "util/prng.hpp"
 #include "util/table.hpp"
 #include "util/temp_path.hpp"
@@ -76,6 +77,18 @@ TEST(Bits, ForEachSetBitVisitsAscending) {
   std::vector<std::size_t> got;
   for_each_set_bit(words, [&](std::size_t i) { got.push_back(i); });
   EXPECT_EQ(got, want);
+}
+
+// ---------- parse ----------
+
+TEST(ParseU64, StrictDecimal) {
+  EXPECT_EQ(util::parse_u64("0"), 0u);
+  EXPECT_EQ(util::parse_u64("007"), 7u);
+  EXPECT_EQ(util::parse_u64("18446744073709551615"), UINT64_MAX);
+  for (const char* bad : {"", "+5", "-1", " 5", "5 ", "5x", "0x10",
+                          "18446744073709551616", "99999999999999999999",
+                          "100000000000000000000"})
+    EXPECT_EQ(util::parse_u64(bad), std::nullopt) << "'" << bad << "'";
 }
 
 // ---------- prng ----------

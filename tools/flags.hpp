@@ -9,6 +9,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/parse.hpp"
+
 namespace lgg::tools {
 
 /// A tool's usage(): prints `message` plus the usage text and exits 2.
@@ -49,13 +51,27 @@ inline bool take_value(std::vector<std::string>& args, std::string_view flag,
   return false;
 }
 
-/// take_value parsed as a decimal u64 (strtoull), or `fallback` if absent.
+/// `value` as a strict decimal u64 (util::parse_u64); anything else goes
+/// to `usage`.
+inline std::uint64_t parse_u64_or_usage(std::string_view flag,
+                                        const std::string& value,
+                                        UsageFn usage) {
+  const auto v = util::parse_u64(value);
+  if (!v) {
+    usage(("bad value for " + std::string(flag) + ": '" + value + "'")
+              .c_str());
+    std::abort();  // usage() exits
+  }
+  return *v;
+}
+
+/// take_value parsed as a strict decimal u64, or `fallback` if absent.
 inline std::uint64_t take_u64(std::vector<std::string>& args,
                               std::string_view flag, std::uint64_t fallback,
                               UsageFn usage) {
   std::string value;
   if (!take_value(args, flag, value, usage)) return fallback;
-  return std::strtoull(value.c_str(), nullptr, 10);
+  return parse_u64_or_usage(flag, value, usage);
 }
 
 /// Strip "--faults RATE[,SEED]" (e.g. --faults=0.1,7); true when present.
@@ -67,7 +83,7 @@ inline bool take_faults(std::vector<std::string>& args, double& rate,
   rate = std::strtod(value.c_str(), nullptr);
   const std::size_t comma = value.find(',');
   if (comma != std::string::npos)
-    seed = std::strtoull(value.c_str() + comma + 1, nullptr, 10);
+    seed = parse_u64_or_usage("--faults", value.substr(comma + 1), usage);
   return true;
 }
 

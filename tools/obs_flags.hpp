@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -91,8 +90,8 @@ struct ObsFlags {
     output("--flamegraph", flamegraph_path, false);
     std::string value;
     if (take_value(args, "--trace-cap", value, usage)) {
-      sess.tracer.set_span_cap(
-          static_cast<std::size_t>(std::strtoull(value.c_str(), nullptr, 10)));
+      sess.tracer.set_span_cap(static_cast<std::size_t>(
+          parse_u64_or_usage("--trace-cap", value, usage)));
       enabled = true;
     }
   }
