@@ -20,7 +20,7 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 
 step() { printf '\n=== %s ===\n' "$*"; }
 
-step "core: one launch path, one plan prologue"
+step "core: one launch path, one plan prologue, one flag grammar"
 # core::launch (src/core/launch.cpp) is the only place in src/core that
 # runs the simulator, builds the sancheck analyzer, rescales a sampled
 # report, hands a launch to the profiler or records kernel counters; a
@@ -54,6 +54,15 @@ fi
 if grep -rnF '"\ndigest ' src | grep -v '^src/resilience/checkpoint\.cpp:'; then
   echo "checkpoint digest trailer outside src/resilience/checkpoint.cpp:" \
        "use seal_checkpoint / open_checkpoint" >&2
+  exit 1
+fi
+
+# One flag grammar: tools/flags.hpp turns argv into values through the
+# strict util::parse_u64 / parse_f64, so no tool parses a number with
+# strto*, std::sto* or atoi, and no tool keeps a second output grammar.
+if grep -rnE 'strto|std::sto|atoi|OutputGrammar' tools; then
+  echo "number parsing or output grammar outside tools/flags.hpp:" \
+       "use take_u64 / take_f64 / arg_u64 / take_optional_value" >&2
   exit 1
 fi
 
@@ -164,7 +173,7 @@ ctest --test-dir build -L serve --output-on-failure \
 
 step "serve: golden responses + span tree + metrics (batching + cache)"
 build/tools/lgg_serve run ci/serve-single-triangle.script \
-      --trace-tree - --metrics - > "$OBS_TMP/serve-golden.txt"
+      --trace-tree --metrics > "$OBS_TMP/serve-golden.txt"
 diff -u ci/golden/serve-single-triangle.txt "$OBS_TMP/serve-golden.txt"
 # The golden run must have actually merged a pass and hit the cache.
 grep -q '^lgg_serve_batch_merges_total 1$' "$OBS_TMP/serve-golden.txt"
@@ -205,10 +214,10 @@ carol small doulion 0.25 18
 drain
 EOF
 build/tools/lgg_serve run "$OBS_TMP/serve-big.script" --threads 1 \
-      --log "$OBS_TMP/serve-big-t1.log" --metrics "$OBS_TMP/serve-big-t1.prom" \
+      --log="$OBS_TMP/serve-big-t1.log" --metrics="$OBS_TMP/serve-big-t1.prom" \
       > "$OBS_TMP/serve-big-t1.out"
 build/tools/lgg_serve run "$OBS_TMP/serve-big.script" --threads 8 \
-      --log "$OBS_TMP/serve-big-t8.log" --metrics "$OBS_TMP/serve-big-t8.prom" \
+      --log="$OBS_TMP/serve-big-t8.log" --metrics="$OBS_TMP/serve-big-t8.prom" \
       > "$OBS_TMP/serve-big-t8.out"
 cmp "$OBS_TMP/serve-big-t1.out" "$OBS_TMP/serve-big-t8.out"
 cmp "$OBS_TMP/serve-big-t1.log" "$OBS_TMP/serve-big-t8.log"

@@ -241,7 +241,6 @@ ChunkLaunch run_chunk_kernel(const graph::Graph& g, const graph::Chunk& chunk,
                     tpb},
          .staged = std::span<const gpusim::Buffer>(&buffer,
                                                    chunk.fits_shared ? 0 : 1),
-         .prof = opts.prof,
          .reduce =
              [&] {
                // Deterministic reduction: fold per-warp slots in warp order.

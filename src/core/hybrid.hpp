@@ -52,10 +52,6 @@ struct HybridOptions : RunContext {
   /// Cap on candidate triples simulated per chunk (0 = all); statistics
   /// of truncated chunks are rescaled exactly as in count_triangles_gpu.
   std::uint64_t max_simulated_tests_per_chunk = 0;
-  /// Optional profiler hook (non-owning): every chunk launch deposits
-  /// modelled hardware counters (DESIGN.md §17).  run_chunk_kernel reads
-  /// it and `obs`, so the resilient runner forwards both here.
-  gpusim::ProfilerHook* prof = nullptr;
   /// Optional precomputed Algorithm 1 plan (non-owning; see
   /// precompute_als).  When set, the pipeline skips chunking / level
   /// decomposition / per-chunk ALS work and charges ZERO modelled

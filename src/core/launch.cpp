@@ -73,8 +73,8 @@ gpusim::KernelReport launch(const RunContext& ctx, const LaunchSpec& spec,
     // (post-rescale) report, so every export matches the KernelReport the
     // caller sees.  The profiler runs before the span is charged: its
     // timestamp is the launch start.
-    if (spec.prof != nullptr)
-      spec.prof->on_launch(spec.config, spec.sim.spec(), counters, report);
+    if (ctx.prof != nullptr)
+      ctx.prof->on_launch(spec.config, spec.sim.spec(), counters, report);
     span.model_s(report.kernel_time_s);
     if (span) {
       if (spec.span_args)

@@ -36,6 +36,9 @@ struct RunContext {
   /// launch spans on the modelled timeline plus gpusim counters
   /// (DESIGN.md §12).
   obs::Session* obs = nullptr;
+  /// Optional profiler (non-owning): core::launch hands it every launch's
+  /// final, rescaled report and counters (DESIGN.md §17).
+  gpusim::ProfilerHook* prof = nullptr;
 };
 
 /// `device`, or the paper's Tesla C1060 when null.
@@ -86,8 +89,6 @@ struct LaunchSpec {
   /// Buffers the host staged before the launch: sancheck treats every
   /// read from them as initialised.
   std::span<const gpusim::Buffer> staged{};
-  /// Optional profiler (non-owning); receives the final, rescaled launch.
-  gpusim::ProfilerHook* prof = nullptr;
   /// Folds the driver's per-warp output slots after the replay and
   /// returns the sample factor total / simulated work (1 when exact or
   /// when nothing ran).  Empty: the launch is never sampled.

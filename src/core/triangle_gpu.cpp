@@ -295,7 +295,6 @@ GpuTriangleResult count_triangles_gpu(const graph::Graph& g,
                   shape.blocks, shape.threads_per_block},
        .staged = layout.per_job ? std::span<const Buffer>(layout.blocks)
                                 : std::span<const Buffer>(&layout.matrix, 1),
-       .prof = opts.prof,
        .reduce =
            [&] {
              // Deterministic reduction: fold per-warp slots in warp order.

@@ -62,10 +62,6 @@ struct GpuTriangleOptions : RunContext {
   /// When the cap truncates, traffic/timing statistics are rescaled by
   /// total/simulated and `exact` is false.
   std::uint64_t max_simulated_tests = 0;
-  /// Optional profiler hook (non-owning): every launch deposits modelled
-  /// hardware counters, rescaled alongside the KernelReport when the
-  /// test-sampling cap truncates (DESIGN.md §17).
-  gpusim::ProfilerHook* prof = nullptr;
 };
 
 struct GpuTriangleResult {

@@ -1,6 +1,5 @@
 #include "serve/request.hpp"
 
-#include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -41,13 +40,11 @@ graph::Vertex parse_vertex(const std::string& tok, std::string_view line) {
   return static_cast<graph::Vertex>(v);
 }
 
-double parse_double(const std::string& tok, std::string_view line) {
-  char* end = nullptr;
-  const double v = std::strtod(tok.c_str(), &end);
-  LGG_CHECK(end != nullptr && *end == '\0' && !tok.empty(),
-            "serve: bad number '" + tok + "' in request: " +
-                std::string(line));
-  return v;
+double parse_f64(const std::string& tok, std::string_view line) {
+  const auto v = util::parse_f64(tok);
+  LGG_CHECK(v.has_value(), "serve: bad number '" + tok + "' in request: " +
+                               std::string(line));
+  return *v;
 }
 
 }  // namespace
@@ -162,7 +159,7 @@ Request parse_request_line(std::string_view line) {
   } else if (q == "doulion") {
     r.kind = QueryKind::kDoulion;
     want(2);
-    r.p = parse_double(tok[3], line);
+    r.p = parse_f64(tok[3], line);
     LGG_CHECK(r.p > 0.0 && r.p <= 1.0,
               "serve: doulion p out of range (0,1]: " + std::string(line));
     r.seed = parse_u64(tok[4], line);

@@ -516,9 +516,11 @@ ServeState Service::state() const {
 void Service::restore_state(const ServeState& s) {
   LGG_CHECK(pending_.empty() && drain_seq_ == 0 && log_.empty(),
             "Service::restore_state: service already served requests");
-  LGG_CHECK(s.has_faults == faults_.has_value(),
-            "Service::restore_state: fault configuration differs from the "
-            "checkpointed run");
+  if (s.has_faults != faults_.has_value())
+    throw resilience::CheckpointError(
+        resilience::CheckpointError::Kind::kPlanMismatch,
+        "Service::restore_state: fault configuration differs from the "
+        "checkpointed run");
   drain_seq_ = s.drain_seq;
   log_ = s.log;
   cache_.restore(s.cache);

@@ -148,7 +148,10 @@ class Service {
   /// be called with requests pending.
   [[nodiscard]] ServeState state() const;
   /// Restore a drain-boundary state onto a freshly constructed service
-  /// with the same options.  Must precede any submit/drain.
+  /// with the same options.  Must precede any submit/drain.  A state taken
+  /// with faults armed (or not) when this service has them off (or on)
+  /// throws resilience::CheckpointError (kPlanMismatch) and changes
+  /// nothing.
   void restore_state(const ServeState& s);
 
  private:

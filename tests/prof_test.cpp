@@ -179,6 +179,52 @@ TEST(ProfDeterminism, ResilientRunAttributesChunks) {
   EXPECT_NE(serial.first.find("chunk["), std::string::npos);
 }
 
+TEST(ProfDrivers, EveryDriverLaunchIsProfiled) {
+  // RunContext::prof reaches core::launch, so each of the five drivers
+  // hands its launches to the profiler with no driver-side wiring.
+  const graph::Graph g = graph::gnm(40, 120, 7);
+  prof::Profiler profiler;
+  const auto harvest = [&](const std::string& kernel) {
+    std::vector<prof::KernelProfile> got = profiler.profiles();
+    profiler = prof::Profiler();
+    EXPECT_FALSE(got.empty()) << kernel;
+    std::uint64_t transactions = 0;
+    for (const prof::KernelProfile& p : got) {
+      EXPECT_EQ(p.name.rfind(kernel, 0), 0u) << p.name;
+      transactions += p.transactions;
+    }
+    return std::pair(got.size(), transactions);
+  };
+
+  core::GpuTriangleOptions tri;
+  tri.prof = &profiler;
+  const auto tri_r = core::count_triangles_gpu(g, tri);
+  EXPECT_EQ(harvest("triangles/coalesced+anti-camping"),
+            std::pair(std::size_t{1}, tri_r.kernel.transactions));
+
+  core::GpuIntersectOptions isect;
+  isect.prof = &profiler;
+  const auto isect_r = core::count_triangles_gpu_intersect(g, isect);
+  EXPECT_EQ(harvest("triangles/intersect"),
+            std::pair(std::size_t{1}, isect_r.kernel.transactions));
+
+  core::GpuKCountOptions kc;
+  kc.prof = &profiler;
+  const auto kc_r = core::count_kcliques_gpu(g, 4, kc);
+  EXPECT_EQ(harvest("kcount"),
+            std::pair(std::size_t{1}, kc_r.kernel.transactions));
+
+  core::GpuBfsOptions bfs;
+  bfs.prof = &profiler;
+  const auto bfs_r = core::bfs_gpu(g, 0, bfs);
+  EXPECT_EQ(harvest("bfs/level").second, bfs_r.transactions);
+
+  core::HybridOptions hyb;
+  hyb.prof = &profiler;
+  const auto hyb_r = core::count_triangles_hybrid(g, hyb);
+  EXPECT_EQ(harvest("chunk/").first, hyb_r.chunks.size());
+}
+
 TEST(ProfExports, MetricsAggregateAndTracksRender) {
   const graph::Graph g = test_graph();
   obs::Session sess;

@@ -645,6 +645,44 @@ TEST(ServeState, ServiceRestoreReproducesCacheAndLogBehavior) {
   EXPECT_NE(svc_b.log().rfind("cache=hit"), std::string::npos);
 }
 
+TEST(ServeState, FaultConfigurationMismatchIsTypedAndChangesNothing) {
+  // A checkpoint taken with --faults restored without them (and the
+  // converse) is a typed plan mismatch, so lgg_serve warns and starts
+  // cold instead of dying; the refused restore leaves the service as new.
+  const auto run_one_drain = [](double fault_rate) {
+    serve::Catalog catalog = make_catalog();
+    serve::ServeOptions sopts;
+    sopts.fault_rate = fault_rate;
+    sopts.fault_seed = 3;
+    serve::Service svc(catalog, sopts);
+    serve::Request r;
+    r.tenant = "t";
+    r.graph = "g0";
+    r.kind = serve::QueryKind::kTriangles;
+    svc.submit(std::move(r));
+    svc.drain();
+    return svc.state();
+  };
+  for (const auto& [taken_with, restored_with] :
+       {std::pair{0.1, 0.0}, std::pair{0.0, 0.1}}) {
+    const serve::ServeState st = run_one_drain(taken_with);
+    serve::Catalog catalog = make_catalog();
+    serve::ServeOptions sopts;
+    sopts.fault_rate = restored_with;
+    sopts.fault_seed = 3;
+    serve::Service svc(catalog, sopts);
+    const std::string pristine = serve::encode_serve_state(svc.state());
+    try {
+      svc.restore_state(st);
+      FAIL() << "restore across a fault configuration change was accepted";
+    } catch (const resilience::CheckpointError& err) {
+      EXPECT_EQ(err.kind(), resilience::CheckpointError::Kind::kPlanMismatch);
+    }
+    EXPECT_EQ(serve::encode_serve_state(svc.state()), pristine);
+    EXPECT_TRUE(svc.log().empty());
+  }
+}
+
 /// One drain's observable outcome: responses (or the exception text),
 /// request log and cache snapshot (through the checkpoint encoding), the
 /// BFS/cc memos, span tree and metrics.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
@@ -89,6 +90,21 @@ TEST(ParseU64, StrictDecimal) {
                           "18446744073709551616", "99999999999999999999",
                           "100000000000000000000"})
     EXPECT_EQ(util::parse_u64(bad), std::nullopt) << "'" << bad << "'";
+}
+
+TEST(ParseF64, StrictFiniteToken) {
+  EXPECT_EQ(util::parse_f64("0.25"), 0.25);
+  EXPECT_EQ(util::parse_f64("1"), 1.0);
+  EXPECT_EQ(util::parse_f64("-2.5"), -2.5);
+  EXPECT_EQ(util::parse_f64(".5"), 0.5);
+  EXPECT_EQ(util::parse_f64("1e-3"), 1e-3);
+  EXPECT_EQ(util::parse_f64("1.7976931348623157e308"), 1.7976931348623157e308);
+  // Same value as strtod for the tokens both accept.
+  for (const char* ok : {"0.1", "0.05", "3.14159", "1e-07", "0.3333333333"})
+    EXPECT_EQ(util::parse_f64(ok), std::strtod(ok, nullptr)) << ok;
+  for (const char* bad : {"", "+1", " 1", "1 ", "1.5x", "abc", "0x1p3", "1e",
+                          "nan", "inf", "-inf", "1e999", ",7", "0.1,7"})
+    EXPECT_EQ(util::parse_f64(bad), std::nullopt) << "'" << bad << "'";
 }
 
 // ---------- prng ----------

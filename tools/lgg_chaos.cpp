@@ -1,7 +1,7 @@
 // lgg_chaos — kill-resume chaos harness for the durable checkpoint path
 // (DESIGN.md §16).
 //
-//   lgg_chaos resilient --dir DIR [--gnm N M SEED] [--faults RATE[,SEED]]
+//   lgg_chaos resilient --dir DIR [--gnm N,M,SEED] [--faults RATE[,SEED]]
 //             [--kill-after K] [--every E] [--threads T] [--shared-mem B]
 //
 // The harness proves the checkpoint/restart contract the hard way: it
@@ -23,8 +23,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
+#include <iterator>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -45,7 +45,7 @@ using namespace lgg::tools;
   if (message) std::cerr << "error: " << message << "\n\n";
   std::cerr <<
       "usage:\n"
-      "  lgg_chaos resilient --dir DIR [--gnm N M SEED]\n"
+      "  lgg_chaos resilient --dir DIR [--gnm N,M,SEED]\n"
       "            [--faults RATE[,SEED]] [--kill-after K] [--every E]\n"
       "            [--threads T] [--shared-mem BYTES]\n"
       "\n"
@@ -77,51 +77,31 @@ Config parse_config(std::vector<std::string>& args) {
   Config c;
   std::string value;
   if (take_value(args, "--gnm", value, usage)) {
-    // --gnm takes three following positionals when given as "--gnm N M S";
-    // accept "--gnm=N,M,S" too.
+    // "--gnm=N,M,SEED" (or the three numbers in one quoted argument).
     std::replace(value.begin(), value.end(), ',', ' ');
     std::istringstream is(value);
-    if (!(is >> c.n >> c.m >> c.seed)) usage("--gnm needs N M SEED");
+    const std::vector<std::string> nms{std::istream_iterator<std::string>(is),
+                                       {}};
+    if (nms.size() != 3) usage("--gnm needs N,M,SEED");
+    std::uint64_t* fields[] = {&c.n, &c.m, &c.seed};
+    for (std::size_t i = 0; i < 3; ++i)
+      *fields[i] = parse_or_usage("--gnm", nms[i], util::parse_u64, usage);
   }
-  if (take_faults(args, c.fault_rate, c.fault_seed, usage) &&
-      (c.fault_rate < 0.0 || c.fault_rate > 1.0))
-    usage("--faults rate must be in [0, 1]");
-  if (take_value(args, "--kill-after", value, usage))
-    c.kill_after = static_cast<std::uint32_t>(
-        std::strtoul(value.c_str(), nullptr, 10));
-  if (take_value(args, "--every", value, usage))
-    c.every =
-        static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
-  if (take_value(args, "--threads", value, usage))
-    c.threads = std::strtoull(value.c_str(), nullptr, 10);
-  if (take_value(args, "--shared-mem", value, usage))
-    c.shared_mem = static_cast<std::uint32_t>(
-        std::strtoul(value.c_str(), nullptr, 10));
+  take_faults(args, c.fault_rate, c.fault_seed, usage);
+  const auto u32 = [&](std::string_view flag, std::uint32_t fallback) {
+    return static_cast<std::uint32_t>(take_u64(args, flag, fallback, usage));
+  };
+  c.kill_after = u32("--kill-after", c.kill_after);
+  c.every = u32("--every", c.every);
+  c.threads = take_u64(args, "--threads", c.threads, usage);
+  c.shared_mem = u32("--shared-mem", c.shared_mem);
   take_value(args, "--dir", c.dir, usage);
   take_value(args, "--ckpt", c.ckpt, usage);
   take_value(args, "--out", c.out, usage);
   c.resume = take_flag(args, "--resume");
-  if (take_value(args, "--worker-kill", value, usage))
-    c.worker_kill = static_cast<std::uint32_t>(
-        std::strtoul(value.c_str(), nullptr, 10));
-  if (!args.empty()) usage(("unknown option: " + args[0]).c_str());
+  c.worker_kill = u32("--worker-kill", c.worker_kill);
+  reject_extra_args(args, 0, usage);
   return c;
-}
-
-void write_or_die(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  LGG_CHECK(out.good(), "lgg_chaos: cannot write " << path);
-  out << text;
-  out.flush();
-  LGG_CHECK(out.good(), "lgg_chaos: short write to " << path);
-}
-
-std::string read_or_die(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  LGG_CHECK(in.good(), "lgg_chaos: cannot read " << path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
 }
 
 bool file_exists(const std::string& path) {
@@ -151,9 +131,7 @@ int cmd_worker(const Config& c) {
 
   resilience::RunnerOptions opts;
   opts.device = &dev;
-  opts.exec = c.threads <= 1 ? gpusim::ExecPolicy::serial()
-                             : gpusim::ExecPolicy::parallel(
-                                   static_cast<std::size_t>(c.threads));
+  opts.exec = exec_policy(c.threads);
   opts.faults = inj ? &*inj : nullptr;
   opts.obs = &session;
   opts.checkpoint_path = c.ckpt;
@@ -178,11 +156,12 @@ int cmd_worker(const Config& c) {
 
   std::ostringstream rep;
   rep << report << "\n";
-  write_or_die(c.out + ".report", rep.str());
-  write_or_die(c.out + ".log", report.log);
-  write_or_die(c.out + ".trace.json", obs::chrome_trace_json(session.tracer));
-  write_or_die(c.out + ".spans", obs::span_tree_text(session.tracer));
-  write_or_die(c.out + ".prom", session.metrics.prometheus_text());
+  write_output(c.out + ".report", rep.str(), usage);
+  write_output(c.out + ".log", report.log, usage);
+  write_output(c.out + ".trace.json", obs::chrome_trace_json(session.tracer),
+               usage);
+  write_output(c.out + ".spans", obs::span_tree_text(session.tracer), usage);
+  write_output(c.out + ".prom", session.metrics.prometheus_text(), usage);
   std::cout << "worker: chunks=" << report.chunks.size()
             << " triangles=" << report.triangles
             << " certified=" << (report.certified ? 1 : 0) << "\n";
@@ -248,8 +227,8 @@ int cmd_resilient(const char* argv0, const Config& c) {
   if (failures == 0) {
     for (const char* ext :
          {".report", ".log", ".trace.json", ".spans", ".prom"}) {
-      const std::string ref = read_or_die(c.dir + "/ref" + ext);
-      const std::string got = read_or_die(c.dir + "/run" + ext);
+      const std::string ref = read_file(c.dir + "/ref" + ext, usage);
+      const std::string got = read_file(c.dir + "/run" + ext, usage);
       check(ref == got, std::string("artifact byte-identical: ") + ext +
                             " (" + std::to_string(got.size()) + " bytes)");
     }

@@ -8,17 +8,20 @@
 // A campaign with a fixed --seed and --iterations produces a
 // bit-identical findings log regardless of --threads (the simulator's
 // deterministic-reduction guarantee); CI diffs two runs to pin that.
+// replay and corpus take lgg_cli's observability flags (tools/obs_flags.hpp:
+// --trace FILE, output flags bare for stdout or --flag=FILE) except the
+// profiles, since the fuzz engine launches through no profiler.
 // Exit status: 0 when clean, 1 when any finding (or replay disagreement)
 // occurred, 2 on usage errors.
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "flags.hpp"
 #include "lgg.hpp"
+#include "obs_flags.hpp"
 
 namespace {
 
@@ -35,18 +38,12 @@ using namespace lgg::tools;
       "                    [--faults RATE[,SEED]] [--max-retries N]\n"
       "                    [--failover cpu|stream|off] [--trace-dir DIR]\n"
       "  lgg_fuzz replay <repro.txt> [...] [--trace FILE]\n"
-      "                  [--trace-tree FILE] [--metrics FILE] [--threads T]\n"
-      "  lgg_fuzz corpus <dir> [--trace FILE] [--trace-tree FILE]\n"
-      "                  [--metrics FILE] [--threads T]\n"
-      "  lgg_fuzz shrink <repro.txt>\n";
+      "                  [--trace-tree[=FILE]] [--metrics[=FILE]]\n"
+      "                  [--flamegraph[=FILE]] [--trace-cap N] [--threads T]\n"
+      "  lgg_fuzz corpus <dir> [replay's flags]\n"
+      "  lgg_fuzz shrink <repro.txt>\n"
+      "output flags print to stdout when bare, or write --flag=FILE\n";
   std::exit(2);
-}
-
-resilience::Failover parse_failover(const std::string& v) {
-  if (v == "cpu") return resilience::Failover::kCpu;
-  if (v == "stream") return resilience::Failover::kStream;
-  if (v == "off") return resilience::Failover::kOff;
-  usage(("unknown failover mode: " + v).c_str());
 }
 
 /// Replay one repro through the full cross-product; prints findings.
@@ -96,53 +93,22 @@ std::size_t replay_file(const std::string& path,
   return findings;
 }
 
-/// Shared --trace/--trace-tree/--metrics/--threads handling for replay
-/// and corpus (the carried-over obs item: DESIGN.md §12).  The exported
-/// artifacts are byte-identical across --threads settings: policy labels
-/// omit thread counts and every span arg is repro-content-derived.
-struct ReplayObs {
-  obs::Session session;
-  std::string trace_path, tree_path, metrics_path;
-
-  void extract(std::vector<std::string>& args, fuzz::EngineOptions& opts) {
-    bool enabled = false;
-    std::string v;
-    if (take_value(args, "--trace", v, usage)) {
-      trace_path = v;
-      enabled = true;
-    }
-    if (take_value(args, "--trace-tree", v, usage)) {
-      tree_path = v;
-      enabled = true;
-    }
-    if (take_value(args, "--metrics", v, usage)) {
-      metrics_path = v;
-      enabled = true;
-    }
-    std::string threads;
-    if (take_value(args, "--threads", threads, usage)) {
-      const auto n = std::strtoull(threads.c_str(), nullptr, 10);
-      opts.policies = {gpusim::ExecPolicy::serial(),
-                       gpusim::ExecPolicy::parallel(
-                           n == 0 ? 1 : static_cast<std::size_t>(n))};
-    }
-    if (enabled) opts.obs = &session;
-  }
-
-  void finish() {
-    const auto write = [](const std::string& path, const std::string& text) {
-      std::ofstream out(path, std::ios::binary);
-      if (!out) usage(("cannot write " + path).c_str());
-      out << text;
-    };
-    if (!trace_path.empty())
-      write(trace_path, obs::chrome_trace_json(session.tracer));
-    if (!tree_path.empty())
-      write(tree_path, obs::span_tree_text(session.tracer));
-    if (!metrics_path.empty())
-      write(metrics_path, session.metrics.prometheus_text());
-  }
-};
+/// The observability flags and --threads of replay and corpus.  --threads
+/// T checks every repro serial and on a pool of max(T, 1) workers; the
+/// exports are byte-identical across T: policy labels omit thread counts
+/// and every span arg is repro-content-derived.
+void take_replay_flags(std::vector<std::string>& args, ObsFlags& obsf,
+                       fuzz::EngineOptions& opts) {
+  obsf.take(args, usage);
+  if (obsf.profiling)
+    usage("--profile/--profile-tree: the fuzz engine runs no profiler");
+  if (const auto n = take_u64(args, "--threads", usage))
+    opts.policies = {gpusim::ExecPolicy::serial(),
+                     gpusim::ExecPolicy::parallel(
+                         *n == 0 ? 1 : static_cast<std::size_t>(*n))};
+  reject_unknown_flags(args, usage);
+  opts.obs = obsf.session();
+}
 
 int cmd_campaign(std::vector<std::string> args) {
   fuzz::EngineOptions opts;
@@ -150,30 +116,25 @@ int cmd_campaign(std::vector<std::string> args) {
   opts.max_iterations = take_u64(args, "--iterations", 500, usage);
   opts.max_findings = take_u64(args, "--max-findings", 16, usage);
   opts.limits.max_vertices = take_u64(args, "--max-vertices", 72, usage);
-  std::string seconds;
-  if (take_value(args, "--seconds", seconds, usage))
-    opts.time_budget_s = std::strtod(seconds.c_str(), nullptr);
+  opts.time_budget_s = take_f64(args, "--seconds", opts.time_budget_s, usage);
   std::string corpus;
   if (take_value(args, "--corpus", corpus, usage)) opts.corpus_dir = corpus;
   if (take_flag(args, "--no-shrink")) opts.shrink = false;
-  std::string threads;
   if (take_flag(args, "--serial-only")) {
     opts.policies = {gpusim::ExecPolicy::serial()};
-  } else if (take_value(args, "--threads", threads, usage)) {
+  } else if (const auto n = take_u64(args, "--threads", usage)) {
     opts.policies = {gpusim::ExecPolicy::serial(),
                      gpusim::ExecPolicy::parallel(
-                         std::strtoull(threads.c_str(), nullptr, 10))};
+                         static_cast<std::size_t>(*n))};
   }
   take_faults(args, opts.fault_rate, opts.fault_seed, usage);
   opts.fault_max_retries = static_cast<std::uint32_t>(
       take_u64(args, "--max-retries", opts.fault_max_retries, usage));
-  std::string failover;
-  if (take_value(args, "--failover", failover, usage))
-    opts.fault_failover = parse_failover(failover);
+  take_failover(args, opts.fault_failover, usage);
   std::string trace_dir;
   obs::Session session;
   if (take_value(args, "--trace-dir", trace_dir, usage)) opts.obs = &session;
-  if (!args.empty()) usage(("unknown campaign option: " + args[0]).c_str());
+  reject_extra_args(args, 0, usage);
 
   // Stream everything: log lines and repro paths print as they happen, and
   // the engine never buffers findings (or their graphs) in memory.
@@ -193,11 +154,9 @@ int cmd_campaign(std::vector<std::string> args) {
     // Prometheus dump side by side in the requested directory.
     std::filesystem::create_directories(trace_dir);
     const auto write = [&](const char* name, const std::string& text) {
-      const auto path = std::filesystem::path(trace_dir) / name;
-      std::ofstream out(path, std::ios::binary);
-      if (!out) usage(("cannot write " + path.string()).c_str());
-      out << text;
-      std::cout << "trace written: " << path.string() << "\n";
+      const std::string path = std::filesystem::path(trace_dir) / name;
+      write_output(path, text, usage);
+      std::cout << "trace written: " << path << "\n";
     };
     write("campaign-trace.json", obs::chrome_trace_json(session.tracer));
     write("campaign-spans.txt", obs::span_tree_text(session.tracer));
@@ -208,19 +167,19 @@ int cmd_campaign(std::vector<std::string> args) {
 
 int cmd_replay(std::vector<std::string> args) {
   fuzz::EngineOptions opts;
-  ReplayObs robs;
-  robs.extract(args, opts);
+  ObsFlags obsf;
+  take_replay_flags(args, obsf, opts);
   if (args.empty()) usage("replay needs at least one repro file");
   std::size_t findings = 0;
   for (const auto& path : args) findings += replay_file(path, opts);
-  robs.finish();
+  obsf.finish(usage);
   return findings == 0 ? 0 : 1;
 }
 
 int cmd_corpus(std::vector<std::string> args) {
   fuzz::EngineOptions opts;
-  ReplayObs robs;
-  robs.extract(args, opts);
+  ObsFlags obsf;
+  take_replay_flags(args, obsf, opts);
   if (args.size() != 1) usage("corpus needs exactly one directory");
   const auto files = fuzz::list_repro_files(args[0]);
   if (files.empty()) {
@@ -237,7 +196,7 @@ int cmd_corpus(std::vector<std::string> args) {
   corpus_span.close();
   std::cout << files.size() << " repros, "
             << (findings ? "FINDINGS" : "all ok") << "\n";
-  robs.finish();
+  obsf.finish(usage);
   return findings == 0 ? 0 : 1;
 }
 

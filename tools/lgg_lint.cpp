@@ -9,23 +9,26 @@
 // Output is deterministic: sources lint in sorted path order, plan checks
 // run in a fixed suite order, and diagnostics print as
 // `file:line: [rule] message` so CI diffs stay stable.
-#include <fstream>
+#include <cstdlib>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "flags.hpp"
 #include "lint/plan_verify.hpp"
 #include "lint/source_lint.hpp"
 
 namespace {
 
-int usage(std::ostream& os) {
-  os << "usage: lgg_lint [--allowlist=FILE] PATH...\n"
-        "       lgg_lint --list-rules\n"
-        "       lgg_lint --verify-plans [--loss-k=N]\n"
-        "exit codes: 0 clean, 1 violations found, 2 usage error\n";
-  return 2;
+using namespace lgg::tools;
+
+[[noreturn]] void usage(const char* message = nullptr) {
+  if (message) std::cerr << "error: " << message << "\n\n";
+  std::cerr << "usage: lgg_lint [--allowlist=FILE] PATH...\n"
+               "       lgg_lint --list-rules\n"
+               "       lgg_lint --verify-plans [--loss-k=N]\n"
+               "exit codes: 0 clean, 1 violations found, 2 usage error\n";
+  std::exit(2);
 }
 
 void print(const lgg::lint::Violation& v) {
@@ -36,58 +39,29 @@ void print(const lgg::lint::Violation& v) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool list_rules = false;
-  bool verify_plans = false;
-  std::uint32_t loss_k = 1;
+  std::vector<std::string> paths(argv + 1, argv + argc);
+  const bool list_rules = take_flag(paths, "--list-rules");
+  const bool verify_plans = take_flag(paths, "--verify-plans");
+  const std::uint64_t loss_k = take_u64(paths, "--loss-k", 1, usage);
+  if (loss_k < 1 || loss_k > 6) usage("--loss-k wants an integer in [1, 6]");
   std::string allowlist_path;
-  std::vector<std::string> paths;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--list-rules") {
-      list_rules = true;
-    } else if (arg == "--verify-plans") {
-      verify_plans = true;
-    } else if (arg.rfind("--loss-k=", 0) == 0) {
-      try {
-        const int k = std::stoi(arg.substr(9));
-        if (k < 1 || k > 6) throw std::out_of_range("loss-k");
-        loss_k = static_cast<std::uint32_t>(k);
-      } catch (const std::exception&) {
-        std::cerr << "lgg_lint: --loss-k wants an integer in [1, 6]\n";
-        return usage(std::cerr);
-      }
-    } else if (arg.rfind("--allowlist=", 0) == 0) {
-      allowlist_path = arg.substr(12);
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "lgg_lint: unknown option '" << arg << "'\n";
-      return usage(std::cerr);
-    } else {
-      paths.push_back(arg);
-    }
-  }
+  take_value(paths, "--allowlist", allowlist_path, usage);
+  reject_unknown_flags(paths, usage);
 
   if (list_rules) {
     for (const lgg::lint::Rule& rule : lgg::lint::source_rules())
       std::cout << rule.id << "  " << rule.summary << '\n';
     return 0;
   }
-  if (paths.empty() && !verify_plans) return usage(std::cerr);
+  if (paths.empty() && !verify_plans) usage();
 
   std::size_t violations = 0;
 
   if (!paths.empty()) {
     lgg::lint::Allowlist allow;
     if (!allowlist_path.empty()) {
-      std::ifstream in(allowlist_path, std::ios::binary);
-      if (!in) {
-        std::cerr << "lgg_lint: cannot read allowlist '" << allowlist_path
-                  << "'\n";
-        return 2;
-      }
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      allow = lgg::lint::Allowlist::parse(buf.str(), allowlist_path);
+      allow = lgg::lint::Allowlist::parse(read_file(allowlist_path, usage),
+                                          allowlist_path);
       for (const std::string& err : allow.parse_errors())
         std::cerr << "lgg_lint: " << err << '\n';
       if (!allow.parse_errors().empty()) return 2;
@@ -112,7 +86,7 @@ int main(int argc, char** argv) {
 
   if (verify_plans) {
     const lgg::lint::PlanReport report =
-        lgg::lint::verify_default_pipelines(loss_k);
+        lgg::lint::verify_default_pipelines(static_cast<std::uint32_t>(loss_k));
     std::cout << report << '\n';
     violations += report.total_findings();
   }

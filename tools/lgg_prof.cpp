@@ -14,9 +14,7 @@
 //
 // Exit codes: 0 no differences, 1 differences found, 2 usage/IO error.
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -39,30 +37,17 @@ using namespace lgg::tools;
   std::exit(2);
 }
 
-std::string read_or_die(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::cerr << "error: cannot read " << path << "\n";
-    std::exit(2);
-  }
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
 int cmd_diff(std::vector<std::string> args) {
   prof::DiffOptions opts;
+  opts.rtol = take_f64(args, "--rtol", opts.rtol, usage);
+  opts.atol = take_f64(args, "--atol", opts.atol, usage);
   std::string value;
-  if (take_value(args, "--rtol", value, usage))
-    opts.rtol = std::strtod(value.c_str(), nullptr);
-  if (take_value(args, "--atol", value, usage))
-    opts.atol = std::strtod(value.c_str(), nullptr);
   while (take_value(args, "--ignore", value, usage))
     opts.ignore.push_back(value);
   if (args.size() != 2) usage("diff needs exactly two profile files");
 
-  const std::string a = read_or_die(args[0]);
-  const std::string b = read_or_die(args[1]);
+  const std::string a = read_file(args[0], usage);
+  const std::string b = read_file(args[1], usage);
   const prof::DiffResult res = prof::diff_profile_text(a, b, opts);
   for (const std::string& d : res.diffs) std::cout << d << "\n";
   if (!res.equal)

@@ -17,33 +17,36 @@
 // byte-identical at any --threads setting — the serving determinism
 // contract the serve CI stage pins.
 //
-// Options:
+// Options (the flag grammar of every lgg_* tool, tools/flags.hpp: a
+// value flag takes "--flag V" or "--flag=V"; an output flag is bare for
+// stdout or "--flag=FILE"):
 //   --threads N      host ExecPolicy for device passes + ingest loader
 //   --cache N        result-cache capacity in entries (default 64, 0 off)
 //   --no-batching    one backend pass per request (no merging)
 //   --quota N        per-tenant admission quota per drain (0 = unlimited)
 //   --device-budget N  max ALS tests a graph may have for the resilient
 //                      device triangle backend (larger graphs use DODG)
-//   --log FILE       write the request log ("-" = stdout)
+//   --log[=FILE]     the request log
 //   --trace FILE     Chrome trace JSON
-//   --trace-tree FILE  indented span tree ("-" = stdout)
-//   --metrics FILE   Prometheus text ("-" = stdout)
-//   --profile FILE   lgg_prof counter file for the drain loop's backend
-//                    passes ("-" = stdout; diff with `lgg_prof diff`)
-//   --profile-tree FILE  human hotspot report ("-" = stdout)
-//   --flamegraph FILE    collapsed stacks, modelled self-ns ("-" = stdout)
+//   --trace-tree[=FILE]  indented span tree
+//   --metrics[=FILE] Prometheus text
+//   --profile[=FILE] lgg_prof counter file for the drain loop's backend
+//                    passes (diff with `lgg_prof diff`)
+//   --profile-tree[=FILE]  human hotspot report
+//   --flamegraph[=FILE]    collapsed stacks, modelled self-ns
 //   --trace-cap N    cap recorded spans; drops surface as
 //                    lgg_obs_spans_dropped_total
 //
 // Resilience (DESIGN.md §16):
 //   --faults RATE[,SEED]  inject device faults into resilient passes at
-//                    the uniform RATE; responses stay byte-identical, only
-//                    recovery counters move
+//                    the uniform RATE in [0, 1] (0: none); responses stay
+//                    byte-identical, only recovery counters move
 //   --checkpoint FILE  durably save the serving state after every drain
 //                    (write-to-temp + rename); removed at normal exit
 //   --resume         restore FILE before replaying the script: already-
 //                    served drains are skipped, output continues from the
-//                    first unserved drain (unusable checkpoints warn and
+//                    first unserved drain (unusable checkpoints, including
+//                    one taken with a different --faults setting, warn and
 //                    fall back to a cold start)
 //   --exit-after-drains K  hard-exit (code 42) right after the K-th
 //                    checkpoint write — the chaos harness's kill switch
@@ -71,11 +74,13 @@ using namespace lgg::tools;
       "usage:\n"
       "  lgg_serve run <script|-> [--threads N] [--cache N]\n"
       "            [--no-batching] [--quota N] [--device-budget N]\n"
-      "            [--log FILE] [--trace FILE] [--trace-tree FILE]\n"
-      "            [--metrics FILE] [--profile FILE] [--profile-tree FILE]\n"
-      "            [--flamegraph FILE] [--trace-cap N]\n"
+      "            [--log[=FILE]] [--trace FILE] [--trace-tree[=FILE]]\n"
+      "            [--metrics[=FILE]] [--profile[=FILE]]\n"
+      "            [--profile-tree[=FILE]] [--flamegraph[=FILE]]\n"
+      "            [--trace-cap N]\n"
       "            [--faults RATE[,SEED]]\n"
       "            [--checkpoint FILE] [--resume] [--exit-after-drains K]\n"
+      "output flags print to stdout when bare, or write --flag=FILE\n"
       "\n"
       "script lines:\n"
       "  load <name> <path>             resident SNAP file\n"
@@ -100,9 +105,9 @@ std::vector<std::string> split_ws(const std::string& line) {
 
 int cmd_run(std::vector<std::string> args) {
   ObsFlags obsf;
-  obsf.take(args, OutputGrammar::kRequiredValue, usage);
+  obsf.take(args, usage);
   std::string log_path;
-  take_value(args, "--log", log_path, usage);
+  take_optional_value(args, "--log", log_path);
 
   const std::uint64_t threads = take_u64(args, "--threads", 0, usage);
   serve::CatalogOptions copts;
@@ -116,16 +121,11 @@ int cmd_run(std::vector<std::string> args) {
   sopts.tenant_quota = take_u64(args, "--quota", 0, usage);
   sopts.device_test_budget =
       take_u64(args, "--device-budget", sopts.device_test_budget, usage);
-  sopts.exec = threads <= 1
-                   ? gpusim::ExecPolicy::serial()
-                   : gpusim::ExecPolicy::parallel(
-                         static_cast<std::size_t>(threads));
+  sopts.exec = exec_policy(threads);
   sopts.obs = copts.obs;
   sopts.prof = obsf.prof();
 
-  if (take_faults(args, sopts.fault_rate, sopts.fault_seed, usage) &&
-      (sopts.fault_rate <= 0.0 || sopts.fault_rate > 1.0))
-    usage("--faults rate must be in (0, 1]");
+  take_faults(args, sopts.fault_rate, sopts.fault_seed, usage);
   std::string ckpt_path;
   take_value(args, "--checkpoint", ckpt_path, usage);
   const bool resume = take_flag(args, "--resume");
@@ -137,7 +137,7 @@ int cmd_run(std::vector<std::string> args) {
   if (args.empty()) usage("run needs a script path (or '-' for stdin)");
   const std::string script_path = args.front();
   args.erase(args.begin());
-  if (!args.empty()) usage(("unknown run option: " + args[0]).c_str());
+  reject_extra_args(args, 0, usage);
 
   std::ifstream file;
   if (script_path != "-") {
@@ -199,17 +199,20 @@ int cmd_run(std::vector<std::string> args) {
     if (tok.empty()) continue;
     try {
       if (tok[0] == "load") {
-        if (tok.size() != 3) usage("load needs: load <name> <path>");
+        LGG_CHECK(tok.size() == 3, "load needs: load <name> <path>");
         catalog.load_file(tok[1], tok[2]);
       } else if (tok[0] == "gen") {
-        if (tok.size() != 6 || tok[2] != "gnm")
-          usage("gen needs: gen <name> gnm <n> <m> <seed>");
-        catalog.add(tok[1],
-                    graph::gnm(std::strtoull(tok[3].c_str(), nullptr, 10),
-                               std::strtoull(tok[4].c_str(), nullptr, 10),
-                               std::strtoull(tok[5].c_str(), nullptr, 10)));
+        LGG_CHECK(tok.size() == 6 && tok[2] == "gnm",
+                  "gen needs: gen <name> gnm <n> <m> <seed>");
+        std::uint64_t nms[3];
+        for (int i = 0; i < 3; ++i) {
+          const auto v = util::parse_u64(tok[3 + i]);
+          LGG_CHECK(v.has_value(), "gen: bad integer '" << tok[3 + i] << "'");
+          nms[i] = *v;
+        }
+        catalog.add(tok[1], graph::gnm(nms[0], nms[1], nms[2]));
       } else if (tok[0] == "drain") {
-        if (tok.size() != 1) usage("drain takes no arguments");
+        LGG_CHECK(tok.size() == 1, "drain takes no arguments");
         if (drains_done < skip_drains)
           ++drains_done;  // already served before the checkpoint
         else

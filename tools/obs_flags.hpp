@@ -1,60 +1,18 @@
-// The observability flags shared by lgg_cli and lgg_serve (--trace,
-// --trace-tree, --metrics, --profile, --profile-tree, --flamegraph,
-// --trace-cap) and the exports they request.  Each tool keeps its own
-// value grammar for the output flags (OutputGrammar).
+// The observability flags shared by lgg_cli, lgg_serve and lgg_fuzz
+// (--trace, --trace-tree, --metrics, --profile, --profile-tree,
+// --flamegraph, --trace-cap) and the exports they request.  --trace FILE
+// and --trace-cap N take a value; the other exports are output flags,
+// "--flag" (stdout) or "--flag=FILE" (take_output).
 #pragma once
 
-#include <cstddef>
-#include <fstream>
-#include <iostream>
+#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "flags.hpp"
 #include "lgg.hpp"
 
 namespace lgg::tools {
-
-/// How --trace-tree, --metrics, --profile, --profile-tree and --flamegraph
-/// take their file: lgg_cli's "--flag[=FILE]" (bare: stdout, never
-/// consuming the next token) or lgg_serve's "--flag FILE" / "--flag=FILE".
-/// --trace and --trace-cap always take a value.
-enum class OutputGrammar { kOptionalValue, kRequiredValue };
-
-/// Strip "--flag" (bare) or "--flag=value" from args, never consuming the
-/// next token.  Returns true when the flag was present; value is "-" for
-/// the bare form.
-inline bool take_optional_value(std::vector<std::string>& args,
-                                std::string_view flag, std::string& value) {
-  const std::string joined = std::string(flag) + "=";
-  for (auto it = args.begin(); it != args.end(); ++it) {
-    if (*it == flag) {
-      value = "-";
-      args.erase(it);
-      return true;
-    }
-    if (it->starts_with(joined)) {
-      value = it->substr(joined.size());
-      args.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Write `text` to `path`, or to stdout when path is "-"; a path that
-/// cannot be opened goes to `usage`.
-inline void write_output(const std::string& path, const std::string& text,
-                         UsageFn usage) {
-  if (path == "-") {
-    std::cout << text;
-    return;
-  }
-  std::ofstream out(path, std::ios::binary);
-  if (!out) usage(("cannot write " + path).c_str());
-  out << text;
-}
 
 /// The parsed flags plus the session and profiler they arm.
 struct ObsFlags {
@@ -68,15 +26,16 @@ struct ObsFlags {
   std::string profile_path;       // "-" = stdout
   std::string profile_tree_path;  // "-" = stdout
   std::string flamegraph_path;    // "-" = stdout
+  /// Set by the tool, not by take(): what arm() installs besides the
+  /// session and profiler.  No exec keeps the driver's default policy.
+  std::optional<gpusim::ExecPolicy> exec;
+  sancheck::SancheckMode sancheck = sancheck::SancheckMode::kOff;
 
   /// Strip the flags from args.
-  void take(std::vector<std::string>& args, OutputGrammar grammar,
-            UsageFn usage) {
+  void take(std::vector<std::string>& args, UsageFn usage) {
     const auto output = [&](std::string_view flag, std::string& path,
                             bool profiles) {
-      if (grammar == OutputGrammar::kOptionalValue
-              ? take_optional_value(args, flag, path)
-              : take_value(args, flag, path, usage)) {
+      if (take_optional_value(args, flag, path)) {
         enabled = true;
         profiling = profiling || profiles;
       }
@@ -88,10 +47,8 @@ struct ObsFlags {
     output("--profile-tree", profile_tree_path, true);
     // The flamegraph is a pure function of the span tree.
     output("--flamegraph", flamegraph_path, false);
-    std::string value;
-    if (take_value(args, "--trace-cap", value, usage)) {
-      sess.tracer.set_span_cap(static_cast<std::size_t>(
-          parse_u64_or_usage("--trace-cap", value, usage)));
+    if (const auto cap = take_u64(args, "--trace-cap", usage)) {
+      sess.tracer.set_span_cap(static_cast<std::size_t>(*cap));
       enabled = true;
     }
   }
@@ -99,6 +56,14 @@ struct ObsFlags {
   /// The session to hand a driver: null when no flag armed tracing.
   obs::Session* session() { return enabled ? &sess : nullptr; }
   gpusim::ProfilerHook* prof() { return profiling ? &profiler : nullptr; }
+
+  /// Install the policy, sancheck mode, session and profiler on a driver.
+  void arm(core::RunContext& ctx) {
+    if (exec) ctx.exec = *exec;
+    ctx.sancheck = sancheck;
+    ctx.obs = session();
+    ctx.prof = prof();
+  }
 
   /// Write every requested export.  Observable span loss is only emitted
   /// when the cap actually dropped spans, so default runs keep their
