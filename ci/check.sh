@@ -20,7 +20,7 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 
 step() { printf '\n=== %s ===\n' "$*"; }
 
-step "core: one launch path, one plan prologue, one flag grammar"
+step "core: one launch path, one plan prologue, one ALS test walker, one flag grammar"
 # core::launch (src/core/launch.cpp) is the only place in src/core that
 # runs the simulator, builds the sancheck analyzer, rescales a sampled
 # report, hands a launch to the profiler or records kernel counters; a
@@ -54,6 +54,16 @@ fi
 if grep -rnF '"\ndigest ' src | grep -v '^src/resilience/checkpoint\.cpp:'; then
   echo "checkpoint digest trailer outside src/resilience/checkpoint.cpp:" \
        "use seal_checkpoint / open_checkpoint" >&2
+  exit 1
+fi
+
+# One ALS test space: src/core/als_plan.{hpp,cpp} builds every AlsJob and
+# core::TestCursor walks every test, so nothing else in src/ decodes or
+# advances a test or binary-searches the jobs' test offsets.
+if { grep -rnE 'als_decode_test|als_advance_test' src;
+     grep -rnE -A2 'upper_bound' src | grep -E 'test_offset'; true; } \
+      | grep -vE '^src/core/als_plan\.(hpp|cpp)[-:]'; then
+  echo "ALS test walk outside src/core/als_plan.*: use core::TestCursor" >&2
   exit 1
 fi
 

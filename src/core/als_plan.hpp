@@ -17,13 +17,19 @@
 // final ALS picks up.  Index <-> (x, y, z) conversion is closed-form
 // (hockey-stick identity), which is what lets simulated GPU threads jump
 // straight to their work range — the Section VIII-D strategy.
+//
+// This file owns the test space: append_als_jobs is the one builder of
+// AlsJobs (whole-graph plans and per-chunk work alike) and TestCursor the
+// one walker over their flat test indices.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/bfs.hpp"
 #include "graph/graph.hpp"
+#include "util/error.hpp"
 
 namespace lgg::core {
 
@@ -47,15 +53,28 @@ struct AlsPlan {
   std::uint64_t bfs_edges_visited = 0;  // preprocessing cost (Algorithm 1)
 };
 
-/// Build the plan: BFS each component from its smallest vertex, form the
-/// ALS sequence, compute test counts and offsets.  Jobs with fewer than
-/// three vertices are kept (tests == 0) so job indices match ALS indices.
+/// Append the ALS jobs of levels [first, last] of one component's level
+/// decomposition to `jobs`, their test offsets continuing from `offset`;
+/// returns the offset past the last appended job.  ALS l holds level l
+/// then level l + 1 (when there is one).  first < last appends ALS first
+/// .. last - 1; first == last appends the one ALS of a single-level
+/// component.  The component's last ALS (l + 2 == num_levels, or the
+/// single-level one) takes x_max = s - 2.  Jobs with fewer than three
+/// vertices are kept (tests == 0) so job indices match ALS indices.
+/// Throws lgg::Error when a job's or the running test count overflows 64
+/// bits.
+std::uint64_t append_als_jobs(const graph::LevelDecomposition& levels,
+                              std::uint32_t component, std::uint32_t first,
+                              std::uint32_t last, std::uint64_t offset,
+                              std::vector<AlsJob>& jobs);
+
+/// Build the plan: BFS each component from its smallest vertex and append
+/// its ALS sequence (append_als_jobs over levels [0, num_levels - 1]).
 AlsPlan build_als_plan(const graph::Graph& g);
 
-/// Number of tests with first local id x: C(s-1-x, 2).
-std::uint64_t als_tests_for_x(std::uint32_t s, std::uint32_t x) noexcept;
-
-/// Total tests for bounds (s, x_max): C(s,3) - C(s-x_max,3).
+/// Total tests for bounds (s, x_max): C(s,3) - C(s-x_max,3), taken in
+/// 128-bit arithmetic; kBinomialOverflow only when the count itself does
+/// not fit in 64 bits.
 std::uint64_t als_total_tests(std::uint32_t s, std::uint32_t x_max) noexcept;
 
 /// Decode a flat local test index into (x, y, z), 0-based local ids,
@@ -71,6 +90,73 @@ std::uint64_t als_test_index(const AlsJob& job, const TestTriple& t);
 
 /// Advance a decoded triple to the next test in index order without a full
 /// decode (z, then y, then x).  Returns false past the last test.
-bool als_advance_test(const AlsJob& job, TestTriple& t) noexcept;
+inline bool als_advance_test(const AlsJob& job, TestTriple& t) noexcept {
+  if (t.z + 1 < job.s) {
+    ++t.z;
+    return true;
+  }
+  if (t.y + 2 < job.s) {
+    ++t.y;
+    t.z = t.y + 1;
+    return true;
+  }
+  if (t.x + 1 < job.x_max && t.x + 3 < job.s) {
+    ++t.x;
+    t.y = t.x + 1;
+    t.z = t.x + 2;
+    return true;
+  }
+  return false;
+}
+
+/// The one walker over a flat ALS test space: `jobs` in plan order with
+/// `test_offset` their prefix sum (an AlsPlan's jobs, or a ChunkWork's
+/// with chunk-relative offsets).  seek(flat) resolves a flat index to
+/// (job, x, y, z): a forward seek that stays inside the current job and
+/// its (x, y) row only moves z, anything else decodes in closed form.
+/// next() steps to the following test in index order, skipping zero-test
+/// jobs.  Seek before the first next(), job() or triple().
+class TestCursor {
+ public:
+  explicit TestCursor(std::span<const AlsJob> jobs) noexcept : jobs_(jobs) {}
+
+  void seek(std::uint64_t flat) {
+    if (positioned_ && flat >= flat_) {
+      const AlsJob& j = jobs_[job_];
+      if (flat - j.test_offset < j.tests) {
+        const std::uint64_t delta = flat - flat_;
+        if (delta > 0 && triple_.z + delta < j.s) {
+          triple_.z += static_cast<std::uint32_t>(delta);
+        } else if (delta > 0) {
+          triple_ = als_decode_test(j, flat - j.test_offset);
+        }
+        flat_ = flat;
+        return;
+      }
+    }
+    locate(flat);
+  }
+
+  /// Step to the next test; false past the last test of the space.
+  bool next() {
+    LGG_ASSERT(positioned_);
+    ++flat_;
+    return als_advance_test(jobs_[job_], triple_) || next_job();
+  }
+
+  [[nodiscard]] std::size_t job_index() const noexcept { return job_; }
+  [[nodiscard]] const AlsJob& job() const noexcept { return jobs_[job_]; }
+  [[nodiscard]] const TestTriple& triple() const noexcept { return triple_; }
+
+ private:
+  void locate(std::uint64_t flat);  // covering job by binary search
+  bool next_job() noexcept;         // first test of the next non-empty job
+
+  std::span<const AlsJob> jobs_;
+  std::size_t job_ = 0;
+  TestTriple triple_{};
+  std::uint64_t flat_ = 0;
+  bool positioned_ = false;
+};
 
 }  // namespace lgg::core

@@ -45,41 +45,8 @@ sched::Assignment schedule_chunks(SchedulerKind kind,
 ChunkWork build_chunk_work(const graph::Chunk& chunk,
                            const graph::LevelDecomposition& levels) {
   ChunkWork work;
-  const std::size_t depth = levels.num_levels();  // d + 1 levels
-  LGG_ASSERT(depth > 0);
-
-  auto push_als = [&](std::uint32_t first_level, bool is_last) {
-    AlsJob job;
-    job.component = chunk.component;
-    job.first_level = first_level;
-    const auto& first = levels.levels()[first_level];
-    job.local_to_global.assign(first.begin(), first.end());
-    if (first_level + 1 < depth) {
-      const auto& second = levels.levels()[first_level + 1];
-      job.local_to_global.insert(job.local_to_global.end(), second.begin(),
-                                 second.end());
-    }
-    job.a = static_cast<std::uint32_t>(first.size());
-    job.s = static_cast<std::uint32_t>(job.local_to_global.size());
-    if (job.s >= 3) {
-      job.x_max =
-          is_last ? job.s - 2 : std::min(job.a, job.s - 2);
-      job.tests = als_total_tests(job.s, job.x_max);
-    }
-    job.test_offset = work.tests;
-    work.tests += job.tests;
-    work.jobs.push_back(std::move(job));
-  };
-
-  if (chunk.first_level == chunk.last_level) {
-    // Single-level chunk == single-level component: one trailing ALS.
-    push_als(chunk.first_level, /*is_last=*/true);
-    return work;
-  }
-  for (std::uint32_t l = chunk.first_level; l < chunk.last_level; ++l) {
-    const bool component_last = (l + 2 == depth);
-    push_als(l, component_last);
-  }
+  work.tests = append_als_jobs(levels, chunk.component, chunk.first_level,
+                               chunk.last_level, 0, work.jobs);
   return work;
 }
 
@@ -106,21 +73,6 @@ std::uint64_t count_chunk_cpu(const graph::Graph& g, const ChunkWork& work) {
   }
   return found;
 }
-
-namespace {
-
-/// Locate the ALS job covering chunk-relative flat index `flat`.
-const AlsJob& job_for(const ChunkWork& work, std::uint64_t flat) {
-  auto it = std::upper_bound(
-      work.jobs.begin(), work.jobs.end(), flat,
-      [](std::uint64_t f, const AlsJob& j) { return f < j.test_offset; });
-  LGG_ASSERT(it != work.jobs.begin());
-  --it;
-  LGG_ASSERT(flat - it->test_offset < it->tests);
-  return *it;
-}
-
-}  // namespace
 
 ChunkLaunch run_chunk_kernel(const graph::Graph& g, const graph::Chunk& chunk,
                              const ChunkWork& work,
@@ -186,22 +138,23 @@ ChunkLaunch run_chunk_kernel(const graph::Graph& g, const graph::Chunk& chunk,
       }
       rec.sync();
     }
+    TestCursor cursor(work.jobs);
     for (std::uint64_t i = 0; i < per_thread; ++i) {
       // Cyclic mapping: consecutive lanes take consecutive flat
       // indices, giving z-runs within a warp (coalescing / low bank
       // conflict), exactly like the improved global kernel.
       const std::uint64_t flat = ctx.global_id + i * threads;
       if (flat >= work.tests) break;
-      const AlsJob& job = job_for(work, flat);
-      const TestTriple t = als_decode_test(job, flat - job.test_offset);
+      cursor.seek(flat);
+      const AlsJob& job = cursor.job();
+      const TestTriple& t = cursor.triple();
       const graph::Vertex u = job.local_to_global[t.x];
       const graph::Vertex v = job.local_to_global[t.y];
       const graph::Vertex w = job.local_to_global[t.z];
 
       rec.compute(cal::kGpuInstructionsPerTest);
       const std::uint32_t* pos =
-          chunk_pos.data() + pos_begin[static_cast<std::size_t>(
-                                 &job - work.jobs.data())];
+          chunk_pos.data() + pos_begin[cursor.job_index()];
       const std::uint64_t lu = pos[t.x], lv = pos[t.y], lw = pos[t.z];
       if (chunk.fits_shared) {
         // S-UTM layout in shared memory: word of pair (i < j), bit

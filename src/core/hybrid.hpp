@@ -113,7 +113,9 @@ struct ChunkWork {
   std::uint64_t tests = 0;
 };
 
-/// Build the chunk's ALS jobs from its component's level decomposition.
+/// Build the chunk's ALS jobs from its component's level decomposition
+/// (append_als_jobs over the chunk's levels; lgg::Error when a test count
+/// overflows 64 bits).
 ChunkWork build_chunk_work(const graph::Chunk& chunk,
                            const graph::LevelDecomposition& levels);
 

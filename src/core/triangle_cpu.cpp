@@ -90,51 +90,49 @@ CpuAlsResult count_triangles_cpu_als(const Graph& g) {
   CpuAlsResult result;
   const AlsPlan plan = build_als_plan(g);
   result.bfs_edges = plan.bfs_edges_visited;
+  if (plan.total_tests == 0) return result;
 
-  for (const AlsJob& job : plan.jobs) {
-    if (job.tests == 0) continue;
-    TestTriple t{0, 1, 2};
-    // Walk the whole local test space in index order, short-circuiting the
-    // second and third probes — the natural scalar implementation.
-    bool more = true;
-    while (more) {
-      ++result.tests;
-      const Vertex u = job.local_to_global[t.x];
-      const Vertex v = job.local_to_global[t.y];
-      const Vertex w = job.local_to_global[t.z];
+  // Walk the whole test space in index order, short-circuiting the second
+  // and third probes — the natural scalar implementation.
+  TestCursor cursor(plan.jobs);
+  cursor.seek(0);
+  do {
+    const AlsJob& job = cursor.job();
+    const TestTriple& t = cursor.triple();
+    ++result.tests;
+    const Vertex u = job.local_to_global[t.x];
+    const Vertex v = job.local_to_global[t.y];
+    const Vertex w = job.local_to_global[t.z];
+    ++result.adjacency_probes;
+    if (g.has_edge(u, v)) {
       ++result.adjacency_probes;
-      if (g.has_edge(u, v)) {
+      if (g.has_edge(v, w)) {
         ++result.adjacency_probes;
-        if (g.has_edge(v, w)) {
-          ++result.adjacency_probes;
-          if (g.has_edge(u, w)) ++result.triangles;
-        }
+        if (g.has_edge(u, w)) ++result.triangles;
       }
-      more = als_advance_test(job, t);
     }
-  }
+  } while (cursor.next());
   return result;
 }
 
 std::vector<std::array<Vertex, 3>> list_triangles(const Graph& g) {
   std::vector<std::array<Vertex, 3>> out;
   const AlsPlan plan = build_als_plan(g);
-  for (const AlsJob& job : plan.jobs) {
-    if (job.tests == 0) continue;
-    TestTriple t{0, 1, 2};
-    bool more = true;
-    while (more) {
-      const Vertex u = job.local_to_global[t.x];
-      const Vertex v = job.local_to_global[t.y];
-      const Vertex w = job.local_to_global[t.z];
-      if (g.has_edge(u, v) && g.has_edge(v, w) && g.has_edge(u, w)) {
-        std::array<Vertex, 3> tri{u, v, w};
-        std::sort(tri.begin(), tri.end());
-        out.push_back(tri);
-      }
-      more = als_advance_test(job, t);
+  if (plan.total_tests == 0) return out;
+  TestCursor cursor(plan.jobs);
+  cursor.seek(0);
+  do {
+    const AlsJob& job = cursor.job();
+    const TestTriple& t = cursor.triple();
+    const Vertex u = job.local_to_global[t.x];
+    const Vertex v = job.local_to_global[t.y];
+    const Vertex w = job.local_to_global[t.z];
+    if (g.has_edge(u, v) && g.has_edge(v, w) && g.has_edge(u, w)) {
+      std::array<Vertex, 3> tri{u, v, w};
+      std::sort(tri.begin(), tri.end());
+      out.push_back(tri);
     }
-  }
+  } while (cursor.next());
   return out;
 }
 

@@ -87,57 +87,6 @@ Layout build_layout(const graph::Graph& g, const AlsPlan& plan,
   return layout;
 }
 
-/// Incremental position in the flat test space: resolves a flat index to
-/// (job, x, y, z), exploiting that consecutive queries usually advance z
-/// within the same job.
-class TestCursor {
- public:
-  explicit TestCursor(const AlsPlan& plan) : plan_(&plan) {}
-
-  void seek(std::uint64_t flat) {
-    LGG_ASSERT(flat < plan_->total_tests);
-    if (has_pos_ && flat >= flat_) {
-      const AlsJob& j = plan_->jobs[job_];
-      const std::uint64_t local = flat - j.test_offset;
-      if (local < j.tests) {
-        const std::uint64_t delta = flat - flat_;
-        if (delta > 0 && triple_.z + delta < j.s) {
-          triple_.z += static_cast<std::uint32_t>(delta);
-        } else if (delta > 0) {
-          triple_ = als_decode_test(j, local);
-        }
-        flat_ = flat;
-        return;
-      }
-    }
-    // Locate the covering job: last job with test_offset <= flat (zero-test
-    // jobs have empty intervals and never cover anything).
-    auto it = std::upper_bound(
-        plan_->jobs.begin(), plan_->jobs.end(), flat,
-        [](std::uint64_t f, const AlsJob& j) { return f < j.test_offset; });
-    LGG_ASSERT(it != plan_->jobs.begin());
-    --it;
-    job_ = static_cast<std::size_t>(it - plan_->jobs.begin());
-    LGG_ASSERT(flat - it->test_offset < it->tests);
-    triple_ = als_decode_test(*it, flat - it->test_offset);
-    flat_ = flat;
-    has_pos_ = true;
-  }
-
-  [[nodiscard]] std::size_t job_index() const noexcept { return job_; }
-  [[nodiscard]] const AlsJob& job() const noexcept {
-    return plan_->jobs[job_];
-  }
-  [[nodiscard]] const TestTriple& triple() const noexcept { return triple_; }
-
- private:
-  const AlsPlan* plan_;
-  std::size_t job_ = 0;
-  TestTriple triple_{};
-  std::uint64_t flat_ = 0;
-  bool has_pos_ = false;
-};
-
 }  // namespace
 
 GpuTriangleResult count_triangles_gpu(const graph::Graph& g,
@@ -219,7 +168,7 @@ GpuTriangleResult count_triangles_gpu(const graph::Graph& g,
 
   const gpusim::KernelFn kernel = [&](const gpusim::ThreadCtx& ctx,
                                       gpusim::ThreadRecorder& rec) {
-    TestCursor cursor(plan);
+    TestCursor cursor(plan.jobs);
 
     std::uint64_t first = 0, count = 0, stride = 1;
     if (warp_interleaved) {
@@ -250,6 +199,9 @@ GpuTriangleResult count_triangles_gpu(const graph::Graph& g,
       const AlsJob& job = cursor.job();
       const TestTriple& t = cursor.triple();
       const std::size_t r = cursor.job_index();
+      const graph::Vertex u = job.local_to_global[t.x];
+      const graph::Vertex v = job.local_to_global[t.y];
+      const graph::Vertex w = job.local_to_global[t.z];
 
       // Charge the index arithmetic and issue the three adjacency reads.
       rec.compute(cal::kGpuInstructionsPerTest);
@@ -264,9 +216,6 @@ GpuTriangleResult count_triangles_gpu(const graph::Graph& g,
                         layout.word_addr(r, t.x, t.z) - layout.blocks[r].base,
                         4);
       } else {
-        const graph::Vertex u = job.local_to_global[t.x];
-        const graph::Vertex v = job.local_to_global[t.y];
-        const graph::Vertex w = job.local_to_global[t.z];
         rec.global_read(layout.matrix,
                         layout.word_addr(r, u, v) - layout.matrix.base, 4);
         rec.global_read(layout.matrix,
@@ -276,9 +225,6 @@ GpuTriangleResult count_triangles_gpu(const graph::Graph& g,
       }
 
       // Functional result (host-side probes, short-circuit).
-      const graph::Vertex u = job.local_to_global[t.x];
-      const graph::Vertex v = job.local_to_global[t.y];
-      const graph::Vertex w = job.local_to_global[t.z];
       if (g.has_edge(u, v) && g.has_edge(v, w) && g.has_edge(u, w))
         ++warp_triangles[ctx.global_warp];
       ++warp_simulated[ctx.global_warp];

@@ -172,35 +172,4 @@ std::vector<LevelDecomposition> component_levels(const Graph& g) {
   return out;
 }
 
-std::size_t LevelDecomposition::total_vertices() const noexcept {
-  std::size_t total = 0;
-  for (const auto& lvl : levels_) total += lvl.size();
-  return total;
-}
-
-std::vector<AdjacentLevelSet> adjacent_level_sets(
-    const LevelDecomposition& levels) {
-  std::vector<AdjacentLevelSet> sets;
-  const std::size_t d = levels.num_levels();
-  if (d == 0) return sets;
-  if (d == 1) {
-    AdjacentLevelSet only;
-    only.first_level_index = 0;
-    only.first.assign(levels.level(0).begin(), levels.level(0).end());
-    only.is_last = true;
-    sets.push_back(std::move(only));
-    return sets;
-  }
-  sets.reserve(d - 1);
-  for (std::size_t i = 0; i + 1 < d; ++i) {
-    AdjacentLevelSet als;
-    als.first_level_index = static_cast<std::uint32_t>(i);
-    als.first.assign(levels.level(i).begin(), levels.level(i).end());
-    als.second.assign(levels.level(i + 1).begin(), levels.level(i + 1).end());
-    als.is_last = (i + 2 == d);
-    sets.push_back(std::move(als));
-  }
-  return sets;
-}
-
 }  // namespace lgg::graph

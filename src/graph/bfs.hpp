@@ -5,7 +5,9 @@
 // joins vertices whose BFS levels differ by at most 1, so any triangle is
 // contained in the union of two consecutive BFS levels.  Algorithm 2
 // therefore iterates over *adjacent level sets* (ALS): pairs
-// (L_i, L_{i+1}), plus the final level alone (Fig. 3).
+// (L_i, L_{i+1}), plus the final level alone (Fig. 3), which
+// core::append_als_jobs (core/als_plan.hpp) builds from a
+// LevelDecomposition.
 #pragma once
 
 #include <cstdint>
@@ -68,9 +70,6 @@ class LevelDecomposition {
     return levels_;
   }
 
-  /// Total vertices across all levels (the component size).
-  [[nodiscard]] std::size_t total_vertices() const noexcept;
-
  private:
   std::vector<std::vector<Vertex>> levels_;
 };
@@ -120,26 +119,5 @@ class LevelWalker {
 /// The level decomposition of every component, indexed by component id,
 /// each rooted at the component's smallest vertex.
 std::vector<LevelDecomposition> component_levels(const Graph& g);
-
-/// One adjacent level set: the two consecutive BFS levels Algorithm 2
-/// scans for triangles.  `second` is empty for the trailing single-level
-/// set of a one-level component.
-struct AdjacentLevelSet {
-  std::uint32_t first_level_index = 0;
-  std::vector<Vertex> first;   // L_i
-  std::vector<Vertex> second;  // L_{i+1} (may be empty)
-  bool is_last = false;        // true for the final set of the component
-
-  [[nodiscard]] std::size_t size() const noexcept {
-    return first.size() + second.size();
-  }
-};
-
-/// Build the ALS sequence for one level decomposition: (L_0, L_1),
-/// (L_1, L_2), ..., (L_{d-1}, L_d).  A single-level component yields one
-/// set with empty `second`.  The last set has is_last == true, which tells
-/// Algorithm 2 to also count triangles entirely inside its second level.
-std::vector<AdjacentLevelSet> adjacent_level_sets(
-    const LevelDecomposition& levels);
 
 }  // namespace lgg::graph

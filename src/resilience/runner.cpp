@@ -57,8 +57,18 @@ double RetryPolicy::backoff_s(std::uint32_t retry) const noexcept {
 
 namespace {
 
+/// True when the cursor's current test is a triangle of g.
+bool is_triangle(const graph::Graph& g, const core::TestCursor& cursor) {
+  const core::AlsJob& job = cursor.job();
+  const core::TestTriple& t = cursor.triple();
+  const graph::Vertex u = job.local_to_global[t.x];
+  const graph::Vertex v = job.local_to_global[t.y];
+  const graph::Vertex w = job.local_to_global[t.z];
+  return g.has_edge(u, v) && g.has_edge(v, w) && g.has_edge(u, w);
+}
+
 /// Streaming recount of a chunk's test space in bounded batches: each
-/// batch seeks its start triple with the closed-form decode and scans
+/// batch seeks its start test with the closed-form decode and steps
 /// forward, so the working set never exceeds one batch — the same regime
 /// as the external-memory streaming counter, applied per chunk.  Result
 /// is identical to count_chunk_cpu.
@@ -67,20 +77,16 @@ std::uint64_t count_chunk_stream(const graph::Graph& g,
                                  std::uint64_t batch_tests) {
   const std::uint64_t batch = std::max<std::uint64_t>(batch_tests, 1);
   std::uint64_t found = 0;
-  for (const core::AlsJob& job : work.jobs) {
-    for (std::uint64_t start = 0; start < job.tests; start += batch) {
-      const std::uint64_t end = std::min(job.tests, start + batch);
-      core::TestTriple t = core::als_decode_test(job, start);
-      for (std::uint64_t i = start; i < end; ++i) {
-        const graph::Vertex u = job.local_to_global[t.x];
-        const graph::Vertex v = job.local_to_global[t.y];
-        const graph::Vertex w = job.local_to_global[t.z];
-        if (g.has_edge(u, v) && g.has_edge(v, w) && g.has_edge(u, w)) ++found;
-        if (i + 1 < end) {
-          const bool more = core::als_advance_test(job, t);
-          LGG_ASSERT(more);
-        }
+  for (std::uint64_t start = 0; start < work.tests; start += batch) {
+    const std::uint64_t end = std::min(work.tests, start + batch);
+    core::TestCursor cursor(work.jobs);
+    cursor.seek(start);
+    for (std::uint64_t i = start; i < end; ++i) {
+      if (i > start) {
+        const bool more = cursor.next();
+        LGG_ASSERT(more);
       }
+      if (is_triangle(g, cursor)) ++found;
     }
   }
   return found;
@@ -109,26 +115,17 @@ LostRecount recount_lost_tests(const graph::Graph& g,
                                const core::ChunkSalvage& salv,
                                std::uint32_t tpb, std::uint32_t warp_size) {
   LostRecount out;
-  for (const core::AlsJob& job : work.jobs) {
-    if (job.tests == 0) continue;
-    core::TestTriple t = core::als_decode_test(job, 0);
-    for (std::uint64_t i = 0; i < job.tests; ++i) {
-      const std::uint64_t flat = job.test_offset + i;
-      const std::uint64_t warp = (flat % tpb) / warp_size;
-      if (salv.warp_done[warp] == 0) {
-        ++out.tests;
-        const graph::Vertex u = job.local_to_global[t.x];
-        const graph::Vertex v = job.local_to_global[t.y];
-        const graph::Vertex w = job.local_to_global[t.z];
-        if (g.has_edge(u, v) && g.has_edge(v, w) && g.has_edge(u, w))
-          ++out.found;
-      }
-      if (i + 1 < job.tests) {
-        const bool more = core::als_advance_test(job, t);
-        LGG_ASSERT(more);
-      }
+  if (work.tests == 0) return out;
+  core::TestCursor cursor(work.jobs);
+  cursor.seek(0);
+  std::uint64_t flat = 0;
+  do {
+    const std::uint64_t warp = (flat++ % tpb) / warp_size;
+    if (salv.warp_done[warp] == 0) {
+      ++out.tests;
+      if (is_triangle(g, cursor)) ++out.found;
     }
-  }
+  } while (cursor.next());
   return out;
 }
 

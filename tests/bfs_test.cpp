@@ -91,52 +91,12 @@ TEST(LevelDecomposition, BucketsAllVertices) {
   const BfsTree t = bfs(g, members.front());
   const LevelDecomposition levels = component_levels(g)[0];
   EXPECT_EQ(levels.num_levels(), t.depth + 1);
-  EXPECT_EQ(levels.total_vertices(), members.size());
+  std::size_t total = 0;
+  for (const auto& level : levels.levels()) total += level.size();
+  EXPECT_EQ(total, members.size());
   for (std::size_t l = 0; l < levels.num_levels(); ++l) {
     EXPECT_FALSE(levels.level(l).empty());
     for (const Vertex v : levels.level(l)) EXPECT_EQ(t.level[v], l);
-  }
-}
-
-TEST(AdjacentLevelSets, PairsWithSharedBoundary) {
-  const Graph g = path(5);  // levels {0},{1},{2},{3},{4}
-  const LevelDecomposition levels = component_levels(g)[0];
-  const auto sets = adjacent_level_sets(levels);
-  ASSERT_EQ(sets.size(), 4u);
-  for (std::size_t i = 0; i < sets.size(); ++i) {
-    EXPECT_EQ(sets[i].first_level_index, i);
-    EXPECT_EQ(sets[i].first.size(), 1u);
-    EXPECT_EQ(sets[i].second.size(), 1u);
-    EXPECT_EQ(sets[i].is_last, i + 1 == sets.size());
-    if (i > 0) {
-      EXPECT_EQ(sets[i].first, sets[i - 1].second);  // overlap
-    }
-  }
-}
-
-TEST(AdjacentLevelSets, SingleLevelComponent) {
-  const Graph g(4);  // one isolated vertex per component
-  const LevelDecomposition levels = component_levels(g)[2];
-  const auto sets = adjacent_level_sets(levels);
-  ASSERT_EQ(sets.size(), 1u);
-  EXPECT_TRUE(sets[0].second.empty());
-  EXPECT_TRUE(sets[0].is_last);
-  EXPECT_EQ(sets[0].first, std::vector<Vertex>{2});
-}
-
-TEST(AdjacentLevelSets, CoversEveryVertex) {
-  const Graph g = erdos_renyi(90, 0.04, 5);
-  const Components comps = connected_components(g);
-  const std::vector<LevelDecomposition> all = component_levels(g);
-  for (std::uint32_t c = 0; c < comps.count; ++c) {
-    const auto members = comps.vertices_of(c);
-    const LevelDecomposition& levels = all[c];
-    std::vector<bool> seen(g.num_vertices(), false);
-    for (const auto& als : adjacent_level_sets(levels)) {
-      for (const Vertex v : als.first) seen[v] = true;
-      for (const Vertex v : als.second) seen[v] = true;
-    }
-    for (const Vertex v : members) EXPECT_TRUE(seen[v]);
   }
 }
 

@@ -17,22 +17,22 @@ namespace {
 using graph::Graph;
 using graph::Vertex;
 
-/// Enumerate every test of every job and histogram the global triples.
+/// Walk the plan's test space with the shipped cursor and histogram the
+/// global triples.
 std::map<std::array<Vertex, 3>, int> enumerate_plan(const AlsPlan& plan) {
   std::map<std::array<Vertex, 3>, int> seen;
-  for (const AlsJob& job : plan.jobs) {
-    if (job.tests == 0) continue;
-    TestTriple t{0, 1, 2};
-    bool more = true;
-    while (more) {
-      std::array<Vertex, 3> key{job.local_to_global[t.x],
-                                job.local_to_global[t.y],
-                                job.local_to_global[t.z]};
-      std::sort(key.begin(), key.end());
-      ++seen[key];
-      more = als_advance_test(job, t);
-    }
-  }
+  if (plan.total_tests == 0) return seen;
+  TestCursor cursor(plan.jobs);
+  cursor.seek(0);
+  do {
+    const AlsJob& job = cursor.job();
+    const TestTriple& t = cursor.triple();
+    std::array<Vertex, 3> key{job.local_to_global[t.x],
+                              job.local_to_global[t.y],
+                              job.local_to_global[t.z]};
+    std::sort(key.begin(), key.end());
+    ++seen[key];
+  } while (cursor.next());
   return seen;
 }
 
