@@ -160,8 +160,17 @@ for G in ingest-1m ingest-rmat; do
       exit 1
     fi
   done
+  # 4 KiB parse chunks: compaction reads thousands of per-chunk edge
+  # arrays in place, with edge ranges crossing chunk boundaries.
+  SMALL_DIGEST="$(build/tools/lgg_cli ingest "$OBS_TMP/$G.txt" \
+        --threads 8 --chunk-bytes 4096 | awk '$1 == "digest:" { print $2 }')"
+  if [ "$SERIAL_DIGEST" != "$SMALL_DIGEST" ]; then
+    echo "$G: ingest digest mismatch at --threads 8 --chunk-bytes 4096:" \
+         "serial=$SERIAL_DIGEST parallel=$SMALL_DIGEST" >&2
+    exit 1
+  fi
   echo "$G: digest $SERIAL_DIGEST identical for --serial, --threads 1," \
-       "--threads 8"
+       "--threads 8, --threads 8 --chunk-bytes 4096"
   DODG_COUNT="$(build/tools/lgg_cli count "$OBS_TMP/$G.txt" --orient \
         | awk '$1 == "triangles:" { print $2 }')"
   FORWARD_COUNT="$(build/tools/lgg_cli count "$OBS_TMP/$G.txt" forward \

@@ -27,6 +27,40 @@ std::uint64_t binomial(std::uint64_t n, std::uint64_t k) noexcept {
   return static_cast<std::uint64_t>(result);
 }
 
+namespace detail {
+namespace {
+
+/// The inverse of 3 modulo 2^128: multiplying a multiple of 3 by it
+/// divides exactly, with no 128-bit division.
+constexpr U128 kInverse3 = ~U128{0} / 3 * 2 + 1;
+
+/// C(n, k) for 2 <= k <= 4 and n < 2^32, exact: the largest value,
+/// C(n, 4), stays under 2^124.
+U128 choose128(std::uint64_t n, std::uint64_t k) noexcept {
+  if (n < k) return 0;
+  const U128 pairs = n * (n - 1) / 2;
+  if (k == 2) return pairs;
+  const U128 triples = pairs * (n - 2) * kInverse3;  // 3 | n(n-1)(n-2)
+  if (k == 3) return triples;
+  return triples * (n - 3) / 4;  // C(n,3)(n-3) is a multiple of 4
+}
+
+}  // namespace
+
+std::uint64_t binomial_difference_wide(std::uint32_t s, std::uint32_t x,
+                                       std::uint32_t k) noexcept {
+  if (k <= 4) {  // k >= 2 here: C(s, 0) and C(s, 1) always fit
+    const U128 d = choose128(s, k) - choose128(s - x, k);
+    return d >= kBinomialOverflow ? kBinomialOverflow
+                                  : static_cast<std::uint64_t>(d);
+  }
+  const std::uint64_t all = binomial(s, k);
+  if (all == kBinomialOverflow) return kBinomialOverflow;
+  return all - binomial(s - x, k);
+}
+
+}  // namespace detail
+
 std::optional<std::uint64_t> binomial_checked(std::uint64_t n,
                                               std::uint64_t k) noexcept {
   const std::uint64_t value = binomial(n, k);

@@ -9,43 +9,6 @@ namespace lgg::core {
 
 namespace {
 
-// C(s, 3) passes 2^64 at s ~ 4.77M while the differences the test space
-// needs (a job's count, a cumulative count below an index) still fit, so
-// they are taken in 128 bits.  The __extension__ marker silences
-// -Wpedantic, as in combi/binomial.cpp.
-__extension__ typedef unsigned __int128 U128;
-
-/// Largest n with n(n-1)(n-2) < 2^64: up to here C(n, 3) is exact in
-/// plain 64-bit arithmetic.
-constexpr std::uint64_t kChoose3Exact64 = 2642246;
-
-/// C(n, 3) in Word: exact for std::uint64_t while n <= kChoose3Exact64,
-/// and for U128 at every n < 2^32 (the product stays under 2^96).
-template <typename Word>
-Word choose3(std::uint64_t n) noexcept {
-  if (n < 3) return 0;
-  return static_cast<Word>(n) * (n - 1) * (n - 2) / 6;
-}
-
-/// The decode's binary search, in Word: the largest x < x_max whose
-/// cumulative count C(s,3) - C(s-x,3) is <= index; `before` receives that
-/// count.
-template <typename Word>
-std::uint32_t search_x(std::uint32_t s, std::uint32_t x_max,
-                       std::uint64_t index, std::uint64_t& before) noexcept {
-  const Word c_s3 = choose3<Word>(s);
-  std::uint32_t lo = 0, hi = x_max;  // invariant: cum(lo) <= idx < cum(hi)
-  while (hi - lo > 1) {
-    const std::uint32_t mid = lo + (hi - lo) / 2;
-    if (c_s3 - choose3<Word>(s - mid) <= index)
-      lo = mid;
-    else
-      hi = mid;
-  }
-  before = static_cast<std::uint64_t>(c_s3 - choose3<Word>(s - lo));
-  return lo;
-}
-
 /// Unrank a 2-combination of [0, m) from its lexicographic index:
 /// pairs with first element f occupy a block of (m - 1 - f) indices.
 /// Closed-form via the quadratic formula, with integer fix-up.
@@ -74,10 +37,7 @@ void unrank_pair(std::uint64_t index, std::uint32_t m, std::uint32_t& first,
 
 std::uint64_t als_total_tests(std::uint32_t s, std::uint32_t x_max) noexcept {
   // Hockey stick: sum_{x=0}^{x_max-1} C(s-1-x, 2) = C(s,3) - C(s-x_max,3).
-  const U128 total = choose3<U128>(s) - choose3<U128>(s - x_max);
-  return total >= combi::kBinomialOverflow
-             ? combi::kBinomialOverflow
-             : static_cast<std::uint64_t>(total);
+  return combi::binomial_difference(s, x_max, 3);
 }
 
 std::uint64_t append_als_jobs(const graph::LevelDecomposition& levels,
@@ -142,9 +102,7 @@ TestTriple als_decode_test(const AlsJob& job, std::uint64_t local_index) {
             "als_decode_test: index " << local_index << " >= " << job.tests);
   std::uint64_t before = 0;
   TestTriple t;
-  t.x = job.s <= kChoose3Exact64
-            ? search_x<std::uint64_t>(job.s, job.x_max, local_index, before)
-            : search_x<U128>(job.s, job.x_max, local_index, before);
+  t.x = combi::first_element_below(job.s, job.x_max, 3, local_index, before);
 
   // (y, z) is the (local_index - before)-th 2-combination of (x, s) —
   // shift by x+1.
@@ -160,8 +118,7 @@ std::uint64_t als_test_index(const AlsJob& job, const TestTriple& t) {
             "als_test_index: invalid triple (" << t.x << "," << t.y << ","
                                                << t.z << ") for s=" << job.s
                                                << " x_max=" << job.x_max);
-  const auto before = static_cast<std::uint64_t>(
-      choose3<U128>(job.s) - choose3<U128>(job.s - t.x));
+  const std::uint64_t before = combi::binomial_difference(job.s, t.x, 3);
   const std::uint32_t m = job.s - 1 - t.x;  // pair domain size
   const std::uint64_t f = t.y - t.x - 1;
   const std::uint64_t pair_index =

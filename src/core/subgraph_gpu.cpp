@@ -14,7 +14,6 @@
 namespace lgg::core {
 
 namespace cal = gpusim::calibration;
-using combi::binomial;
 using graph::Graph;
 using graph::Vertex;
 
@@ -33,10 +32,10 @@ struct WindowJob {
 std::uint64_t window_tests(std::uint32_t s, std::uint32_t x_max,
                            std::uint32_t k) {
   // Hockey stick: sum_{x < x_max} C(s-1-x, k-1) = C(s, k) - C(s-x_max, k).
-  const std::uint64_t all = binomial(s, k);
-  LGG_CHECK(all != combi::kBinomialOverflow,
+  const std::uint64_t tests = combi::binomial_difference(s, x_max, k);
+  LGG_CHECK(tests != combi::kBinomialOverflow,
             "window candidate count overflows 64 bits");
-  return all - binomial(s - x_max, k);
+  return tests;
 }
 
 std::vector<WindowJob> build_windows(const Graph& g, std::uint32_t k,
@@ -72,18 +71,10 @@ void decode_candidate(const WindowJob& w, std::uint32_t k,
                       std::uint64_t index,
                       std::span<std::uint32_t> combo) {
   LGG_ASSERT(index < w.tests);
-  const std::uint64_t c_sk = binomial(w.s, k);
-  std::uint32_t lo = 0, hi = w.x_max;  // cum(lo) <= index < cum(hi)
-  while (hi - lo > 1) {
-    const std::uint32_t mid = lo + (hi - lo) / 2;
-    const std::uint64_t cum = c_sk - binomial(w.s - mid, k);
-    if (cum <= index)
-      lo = mid;
-    else
-      hi = mid;
-  }
+  std::uint64_t before = 0;
+  const std::uint32_t lo =
+      combi::first_element_below(w.s, w.x_max, k, index, before);
   combo[0] = lo;
-  const std::uint64_t before = c_sk - binomial(w.s - lo, k);
   combi::combination_from_index(index - before, w.s - 1 - lo, k - 1,
                                 combo.subspan(1));
   for (std::uint32_t j = 1; j < k; ++j) combo[j] += lo + 1;

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -141,10 +144,12 @@ bool scan_u64(const char*& p, const char* end, std::uint64_t& out) {
 
 // ---- chunked parsing -------------------------------------------------
 
+using RawEdge = std::pair<std::uint64_t, std::uint64_t>;
+
 /// Everything one byte chunk contributes; merged strictly in chunk order,
 /// which equals file order because chunks tile the buffer.
 struct ChunkParse {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> edges;
+  std::vector<RawEdge> edges;
   std::vector<std::string> comments;
   std::optional<std::uint64_t> declared;  // last "Nodes:" header in chunk
   std::size_t lines = 0;
@@ -225,6 +230,35 @@ std::vector<std::string_view> split_chunks(std::string_view text,
 
 // ---- sparse-id compaction --------------------------------------------
 
+/// The parsed edge list, read in place from the chunk parses: edge i of
+/// the file is parts[c][i - offsets[c]] for the chunk c with offsets[c] <=
+/// i < offsets[c + 1].  Compaction walks it by edge ranges that may cross
+/// chunk boundaries, so no merged copy of the raw edges is ever made.
+struct RawEdges {
+  std::vector<std::span<const RawEdge>> parts;
+  std::vector<std::size_t> offsets;  // parts.size() + 1 prefix sums
+
+  [[nodiscard]] std::size_t size() const noexcept { return offsets.back(); }
+
+  /// fn(i, u, v) for every edge (u, v) at file position i in `range`.
+  template <class Fn>
+  void for_each(Range range, const Fn& fn) const {
+    if (range.begin >= range.end) return;
+    // The chunk holding edge range.begin: the last one starting at or
+    // before it (a non-empty one, since it must also end after it).
+    std::size_t c = static_cast<std::size_t>(
+        std::upper_bound(offsets.begin(), offsets.end(), range.begin) -
+        offsets.begin()) - 1;
+    for (std::size_t i = range.begin; i < range.end; ++c) {
+      const std::size_t stop = std::min(range.end, offsets[c + 1]);
+      for (; i < stop; ++i) {
+        const auto& [u, v] = parts[c][i - offsets[c]];
+        fn(i, u, v);
+      }
+    }
+  }
+};
+
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -244,12 +278,10 @@ struct FirstSeen {
 /// so the range decomposition is unobservable) and an O(1) translation
 /// table.  Only used when the id universe is small enough that the two
 /// flat arrays stay proportional to the input.
-void compact_ids_flat(const std::vector<std::pair<std::uint64_t,
-                                                  std::uint64_t>>& raw_edges,
-                      std::uint64_t max_raw, ThreadPool* pool,
+void compact_ids_flat(const RawEdges& raw_edges, std::uint64_t max_raw,
+                      ThreadPool* pool,
                       std::vector<std::uint64_t>& original_ids,
                       std::vector<Edge>& dense_edges) {
-  const std::size_t m = raw_edges.size();
   const std::size_t universe = static_cast<std::size_t>(max_raw) + 1;
   constexpr std::uint64_t kAbsent = ~std::uint64_t{0};
 
@@ -264,12 +296,13 @@ void compact_ids_flat(const std::vector<std::pair<std::uint64_t,
            !slot.compare_exchange_weak(cur, pos, std::memory_order_relaxed)) {
     }
   };
-  const auto edge_ranges = split_ranges(m, executor_count(pool) * 4);
+  const auto edge_ranges = split_ranges(raw_edges.size(), executor_count(pool) * 4);
   for_indices(pool, edge_ranges.size(), [&](std::size_t r) {
-    for (std::size_t i = edge_ranges[r].begin; i < edge_ranges[r].end; ++i) {
-      min_at(raw_edges[i].first, 2 * i);
-      min_at(raw_edges[i].second, 2 * i + 1);
-    }
+    raw_edges.for_each(edge_ranges[r], [&](std::size_t i, std::uint64_t u,
+                                     std::uint64_t v) {
+      min_at(u, 2 * i);
+      min_at(v, 2 * i + 1);
+    });
   });
 
   // Gather the present ids, order by first occurrence = first-seen order.
@@ -299,27 +332,25 @@ void compact_ids_flat(const std::vector<std::pair<std::uint64_t,
     first_pos[firsts[i].raw].store(i, std::memory_order_relaxed);
   });
 
-  dense_edges.resize(m);
+  const auto dense_of = [&](std::uint64_t raw) {
+    return static_cast<Vertex>(first_pos[raw].load(std::memory_order_relaxed));
+  };
+  dense_edges.resize(raw_edges.size());
   for_indices(pool, edge_ranges.size(), [&](std::size_t r) {
-    for (std::size_t i = edge_ranges[r].begin; i < edge_ranges[r].end; ++i)
-      dense_edges[i] = {
-          static_cast<Vertex>(first_pos[raw_edges[i].first].load(
-              std::memory_order_relaxed)),
-          static_cast<Vertex>(first_pos[raw_edges[i].second].load(
-              std::memory_order_relaxed))};
+    raw_edges.for_each(edge_ranges[r], [&](std::size_t i, std::uint64_t u,
+                                     std::uint64_t v) {
+      dense_edges[i] = {dense_of(u), dense_of(v)};
+    });
   });
 }
 
 /// Hash-bucketed compaction for genuinely sparse id universes (raw ids far
 /// larger than the edge count): per-range first-occurrence maps, a
 /// min-combine per hash bucket, and binary-search translation.
-void compact_ids_hashed(const std::vector<std::pair<std::uint64_t,
-                                                    std::uint64_t>>& raw_edges,
-                        ThreadPool* pool,
+void compact_ids_hashed(const RawEdges& raw_edges, ThreadPool* pool,
                         std::vector<std::uint64_t>& original_ids,
                         std::vector<Edge>& dense_edges) {
-  const std::size_t m = raw_edges.size();
-  const auto ranges = split_ranges(m, executor_count(pool) * 4);
+  const auto ranges = split_ranges(raw_edges.size(), executor_count(pool) * 4);
 
   // Per-range first occurrence, scattered into id-hash buckets.
   std::vector<std::array<std::vector<FirstSeen>, kBuckets>> scattered(
@@ -327,11 +358,12 @@ void compact_ids_hashed(const std::vector<std::pair<std::uint64_t,
   for_indices(pool, ranges.size(), [&](std::size_t r) {
     std::unordered_map<std::uint64_t, std::uint64_t> local;
     local.reserve((ranges[r].end - ranges[r].begin) / 2 + 8);
-    for (std::size_t i = ranges[r].begin; i < ranges[r].end; ++i) {
-      // Positions increase through the scan, so try_emplace keeps the min.
-      local.try_emplace(raw_edges[i].first, 2 * i);
-      local.try_emplace(raw_edges[i].second, 2 * i + 1);
-    }
+    // Positions increase through the scan, so try_emplace keeps the min.
+    raw_edges.for_each(ranges[r], [&](std::size_t i, std::uint64_t u,
+                                std::uint64_t v) {
+      local.try_emplace(u, 2 * i);
+      local.try_emplace(v, 2 * i + 1);
+    });
     for (const auto& [raw, pos] : local)
       scattered[r][splitmix64(raw) & (kBuckets - 1)].push_back({raw, pos});
   });
@@ -378,27 +410,19 @@ void compact_ids_hashed(const std::vector<std::pair<std::uint64_t,
     return a.first < b.first;
   });
 
-  dense_edges.resize(m);
   const auto dense_of = [&lut](std::uint64_t raw) {
     const auto it = std::lower_bound(
         lut.begin(), lut.end(), raw,
         [](const auto& entry, std::uint64_t key) { return entry.first < key; });
     return it->second;
   };
-  if (pool == nullptr) {
-    for (std::size_t i = 0; i < m; ++i)
-      dense_edges[i] = {dense_of(raw_edges[i].first),
-                        dense_of(raw_edges[i].second)};
-  } else {
-    pool->parallel_for(
-        m,
-        [&](std::size_t b, std::size_t e) {
-          for (std::size_t i = b; i < e; ++i)
-            dense_edges[i] = {dense_of(raw_edges[i].first),
-                              dense_of(raw_edges[i].second)};
-        },
-        1024);
-  }
+  dense_edges.resize(raw_edges.size());
+  for_indices(pool, ranges.size(), [&](std::size_t r) {
+    raw_edges.for_each(ranges[r], [&](std::size_t i, std::uint64_t u,
+                                std::uint64_t v) {
+      dense_edges[i] = {dense_of(u), dense_of(v)};
+    });
+  });
 }
 
 /// Compact sparse raw ids to dense first-seen-order ids.  Produces the
@@ -406,17 +430,18 @@ void compact_ids_hashed(const std::vector<std::pair<std::uint64_t,
 /// first occurrence position in (edge index, endpoint) order.  Both
 /// strategies below satisfy the same contract; the choice is a pure
 /// function of the input, never of the thread count.
-void compact_ids(const std::vector<std::pair<std::uint64_t, std::uint64_t>>&
-                     raw_edges,
-                 ThreadPool* pool, std::vector<std::uint64_t>& original_ids,
+void compact_ids(const RawEdges& raw_edges, ThreadPool* pool,
+                 std::vector<std::uint64_t>& original_ids,
                  std::vector<Edge>& dense_edges) {
   const std::size_t m = raw_edges.size();
   const auto ranges = split_ranges(m, executor_count(pool) * 4);
   std::vector<std::uint64_t> range_max(ranges.size(), 0);
   for_indices(pool, ranges.size(), [&](std::size_t r) {
     std::uint64_t top = 0;
-    for (std::size_t i = ranges[r].begin; i < ranges[r].end; ++i)
-      top = std::max({top, raw_edges[i].first, raw_edges[i].second});
+    raw_edges.for_each(ranges[r], [&](std::size_t, std::uint64_t u,
+                                std::uint64_t v) {
+      top = std::max({top, u, v});
+    });
     range_max[r] = top;
   });
   std::uint64_t max_raw = 0;
@@ -433,26 +458,31 @@ void compact_ids(const std::vector<std::pair<std::uint64_t, std::uint64_t>>&
     compact_ids_hashed(raw_edges, pool, original_ids, dense_edges);
 }
 
+}  // namespace
+
 // ---- parallel CSR build ----------------------------------------------
 
-graph::Graph build_csr_impl(std::size_t n, std::span<const Edge> edges,
-                            ThreadPool* pool, IngestStats* stats) {
+graph::Graph build_csr_parallel(std::size_t n, std::span<const Edge> edges,
+                                ThreadPool* pool, IngestStats* stats) {
   const std::size_t m = edges.size();
-  const auto ranges = split_ranges(m, executor_count(pool) * 4);
+  LGG_CHECK(m <= std::numeric_limits<std::uint32_t>::max(),
+            "CSR build: " << m << " edges exceed the 32-bit bucket counters");
+  // One edge range and one row of n 32-bit counters per executor: every
+  // pass below counts into its own row, so no counter is shared and no
+  // hub cache line bounces between workers.
+  const auto ranges = split_ranges(m, executor_count(pool));
+  const std::size_t rows = ranges.size();
+  std::vector<std::uint32_t> counts(rows * n, 0);
+  const auto row = [&](std::size_t r) { return counts.data() + r * n; };
 
   // Pass 1 over the raw edges: validate endpoints, count self-loops and
   // histogram the min endpoint of every surviving edge (the counting-sort
   // key below).  The first out-of-range edge — in input order, to match
-  // Graph::from_edges exactly — wins the error.  Relaxed atomic counts
-  // are commutative sums, so the range decomposition is unobservable.
-  std::vector<std::atomic<std::uint64_t>> counts(n);
-  // Explicit zeroing: pre-C++20 libstdc++ default-constructs atomics
-  // uninitialised, and the re-store is cheap next to the histogram.
-  for_indices(pool, n,
-              [&](std::size_t v) { counts[v].store(0, std::memory_order_relaxed); });
-  std::vector<std::size_t> loops(ranges.size(), 0);
-  std::vector<std::size_t> first_bad(ranges.size(), m);
-  for_indices(pool, ranges.size(), [&](std::size_t r) {
+  // Graph::from_edges exactly — wins the error.
+  std::vector<std::size_t> loops(rows, 0);
+  std::vector<std::size_t> first_bad(rows, m);
+  for_indices(pool, rows, [&](std::size_t r) {
+    std::uint32_t* const hist = row(r);
     for (std::size_t i = ranges[r].begin; i < ranges[r].end; ++i) {
       const auto& [a, b] = edges[i];
       if (a >= n || b >= n) {
@@ -460,7 +490,7 @@ graph::Graph build_csr_impl(std::size_t n, std::span<const Edge> edges,
       } else if (a == b) {
         ++loops[r];
       } else {
-        counts[std::min(a, b)].fetch_add(1, std::memory_order_relaxed);
+        ++hist[std::min(a, b)];
       }
     }
   });
@@ -474,64 +504,87 @@ graph::Graph build_csr_impl(std::size_t n, std::span<const Edge> edges,
     for (const std::size_t c : loops) stats->self_loops += c;
   }
 
-  // Counting sort by min endpoint: scatter the max endpoint into its
-  // bucket (claim order — canonicalised by the per-bucket sort), then
-  // sort + dedup each bucket in place.  This replaces a global
-  // O(m log m) comparison sort with an O(m) scatter plus tiny per-bucket
-  // sorts, and the surviving half-adjacency is a pure function of the
-  // edge *set*.
+  // Two-level prefix: bucket v starts at half_off[v], and inside it the
+  // edges of range r start after those of ranges 0..r-1 — each row now
+  // holds its range's cursor into every bucket.
+  const auto vertex_ranges = split_ranges(n, executor_count(pool) * 4);
   std::vector<std::uint64_t> half_off(n + 1, 0);
-  for (std::size_t v = 0; v < n; ++v)
-    half_off[v + 1] = half_off[v] + counts[v].load(std::memory_order_relaxed);
-  for_indices(pool, n, [&](std::size_t v) {
-    counts[v].store(half_off[v], std::memory_order_relaxed);
+  for_indices(pool, vertex_ranges.size(), [&](std::size_t p) {
+    for (std::size_t v = vertex_ranges[p].begin; v < vertex_ranges[p].end;
+         ++v) {
+      std::uint32_t below = 0;
+      for (std::size_t r = 0; r < rows; ++r)
+        below += std::exchange(row(r)[v], below);
+      half_off[v + 1] = below;
+    }
   });
+  for (std::size_t v = 0; v < n; ++v) half_off[v + 1] += half_off[v];
+
+  // Counting sort by min endpoint: each range scatters the max endpoint
+  // of its edges into the bucket slots its row reserves (the per-bucket
+  // sort below canonicalises the order), then each bucket is sorted and
+  // deduped in place.  This replaces a global O(m log m) comparison sort
+  // with an O(m) scatter plus small per-bucket sorts, and the surviving
+  // half-adjacency is a pure function of the edge *set*.
   std::vector<Vertex> half(half_off[n]);
-  for_indices(pool, ranges.size(), [&](std::size_t r) {
+  for_indices(pool, rows, [&](std::size_t r) {
+    std::uint32_t* const cursor = row(r);
     for (std::size_t i = ranges[r].begin; i < ranges[r].end; ++i) {
       const auto& [a, b] = edges[i];
-      if (a >= n || b >= n || a == b) continue;
-      half[counts[std::min(a, b)].fetch_add(1, std::memory_order_relaxed)] =
-          std::max(a, b);
+      if (a == b) continue;
+      const Vertex lo = std::min(a, b);
+      half[half_off[lo] + cursor[lo]++] = std::max(a, b);
     }
   });
 
   // Per-bucket sort + dedup; kept[u] survivors stay at the bucket front.
-  // Dynamic claiming: bucket sizes are badly skewed on power-law degree
-  // distributions.
+  // The same pass counts each kept (u, v) towards v's low side in the
+  // range's own row.  Bucket sizes are badly skewed on power-law degree
+  // distributions, so the ranges cut the buckets by estimated sort cost
+  // (s log s), not by count.
   std::vector<std::uint64_t> kept(n, 0);
-  const auto dedup_buckets = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t u = lo; u < hi; ++u) {
+  const auto sort_cost = [&](std::size_t u) {
+    const std::uint64_t s = half_off[u + 1] - half_off[u];
+    return s * static_cast<std::uint64_t>(std::bit_width(s));
+  };
+  std::uint64_t total_cost = 0;
+  for (std::size_t u = 0; u < n; ++u) total_cost += sort_cost(u);
+  std::vector<std::size_t> cuts(rows + 1, n);
+  cuts[0] = 0;
+  for (std::size_t u = 0, r = 1, cost = 0; u < n && r < rows; ++u) {
+    cost += sort_cost(u);
+    while (r < rows && cost * rows >= total_cost * r) cuts[r++] = u + 1;
+  }
+  for_indices(pool, rows, [&](std::size_t r) {
+    std::uint32_t* const low = row(r);
+    std::fill(low, low + n, 0);
+    for (std::size_t u = cuts[r]; u < cuts[r + 1]; ++u) {
       const auto begin = half.begin() + static_cast<std::ptrdiff_t>(half_off[u]);
       const auto end =
           half.begin() + static_cast<std::ptrdiff_t>(half_off[u + 1]);
       std::sort(begin, end);
-      kept[u] = static_cast<std::uint64_t>(std::unique(begin, end) - begin);
+      const auto last = std::unique(begin, end);
+      kept[u] = static_cast<std::uint64_t>(last - begin);
+      for (auto it = begin; it != last; ++it) ++low[*it];
     }
-  };
-  if (pool == nullptr)
-    dedup_buckets(0, n);
-  else
-    pool->parallel_for_dynamic(n, dedup_buckets, 64, 16);
+  });
   std::uint64_t kept_total = 0;
   for (std::size_t u = 0; u < n; ++u) kept_total += kept[u];
   if (stats != nullptr)
     stats->duplicate_edges += half_off[n] - kept_total;
 
-  // Degrees: the kept bucket of u contributes deg(u) on the low side and
-  // one incoming arc per surviving (u, v) on the high side.
-  for_indices(pool, n,
-              [&](std::size_t v) { counts[v].store(0, std::memory_order_relaxed); });
-  const auto bucket_ranges = split_ranges(n, executor_count(pool) * 4);
-  for_indices(pool, bucket_ranges.size(), [&](std::size_t r) {
-    for (std::size_t u = bucket_ranges[r].begin; u < bucket_ranges[r].end; ++u)
-      for (std::uint64_t k = 0; k < kept[u]; ++k)
-        counts[half[half_off[u] + k]].fetch_add(1, std::memory_order_relaxed);
-  });
+  // Degrees: v's own kept bucket plus its low side, summed over the rows.
   std::vector<std::uint64_t> offsets(n + 1, 0);
-  for (std::size_t v = 0; v < n; ++v)
-    offsets[v + 1] = offsets[v] + kept[v] +
-                     counts[v].load(std::memory_order_relaxed);
+  for_indices(pool, vertex_ranges.size(), [&](std::size_t p) {
+    for (std::size_t v = vertex_ranges[p].begin; v < vertex_ranges[p].end;
+         ++v) {
+      std::uint64_t degree = kept[v];
+      for (std::size_t r = 0; r < rows; ++r) degree += row(r)[v];
+      offsets[v + 1] = degree;
+    }
+  });
+  for (std::size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+  counts = {};
 
   // Adjacency fill, sorted by construction: every neighbour below v sorts
   // before every one above it, so v's slice is its low side (each u < v
@@ -565,8 +618,14 @@ graph::Graph build_csr_impl(std::size_t n, std::span<const Edge> edges,
   return graph::Graph::from_csr(n, std::move(offsets), std::move(adjacency));
 }
 
-IngestResult run_pipeline(std::string_view text, const IngestOptions& opts,
-                          ThreadPool* pool) {
+namespace {
+
+/// `storage`, when set, holds `text`; it is freed as soon as the text is
+/// parsed, so the file bytes and the compaction tables are never resident
+/// together.
+IngestResult run_pipeline(std::string_view text,
+                          std::unique_ptr<char[]> storage,
+                          const IngestOptions& opts, ThreadPool* pool) {
   IngestResult result;
   IngestStats& st = result.stats;
   graph::LoadedGraph& loaded = result.loaded;
@@ -592,6 +651,7 @@ IngestResult run_pipeline(std::string_view text, const IngestOptions& opts,
     for_indices(pool, chunks.size(),
                 [&](std::size_t c) { parse_chunk(chunks[c], parsed[c]); });
   }
+  storage.reset();
 
   // Deterministic chunk merge (chunk order = file order).
   std::size_t lines_before = 0;
@@ -612,18 +672,14 @@ IngestResult run_pipeline(std::string_view text, const IngestOptions& opts,
     for (std::string& comment : c.comments)
       loaded.comments.push_back(std::move(comment));
 
-  std::vector<std::size_t> edge_offsets(parsed.size() + 1, 0);
-  for (std::size_t c = 0; c < parsed.size(); ++c)
-    edge_offsets[c + 1] = edge_offsets[c] + parsed[c].edges.size();
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> raw_edges(
-      edge_offsets[parsed.size()]);
-  for_indices(pool, parsed.size(), [&](std::size_t c) {
-    std::copy(parsed[c].edges.begin(), parsed[c].edges.end(),
-              raw_edges.begin() + static_cast<std::ptrdiff_t>(edge_offsets[c]));
-  });
+  RawEdges raw_edges;
+  raw_edges.parts.reserve(parsed.size());
+  raw_edges.offsets.assign(parsed.size() + 1, 0);
+  for (std::size_t c = 0; c < parsed.size(); ++c) {
+    raw_edges.parts.emplace_back(parsed[c].edges);
+    raw_edges.offsets[c + 1] = raw_edges.offsets[c] + parsed[c].edges.size();
+  }
   st.edge_lines = raw_edges.size();
-  parsed.clear();
-  parsed.shrink_to_fit();
   st.parse_s = phase.elapsed_s();
 
   // ---- compact ----
@@ -634,8 +690,9 @@ IngestResult run_pipeline(std::string_view text, const IngestOptions& opts,
     compact_ids(raw_edges, pool, loaded.original_ids, dense_edges);
     if (span) span.arg("vertices", std::uint64_t{loaded.original_ids.size()});
   }
-  raw_edges.clear();
-  raw_edges.shrink_to_fit();
+  raw_edges = {};
+  parsed.clear();
+  parsed.shrink_to_fit();
   st.distinct_vertices = loaded.original_ids.size();
   st.compact_s = phase.elapsed_s();
 
@@ -646,7 +703,7 @@ IngestResult run_pipeline(std::string_view text, const IngestOptions& opts,
     n = std::max(n, static_cast<std::size_t>(*loaded.declared_nodes));
   {
     obs::Scope span(opts.obs, "ingest/build", "ingest");
-    loaded.graph = build_csr_impl(n, dense_edges, pool, &st);
+    loaded.graph = build_csr_parallel(n, dense_edges, pool, &st);
   }
   st.build_s = phase.elapsed_s();
   st.total_s = total.elapsed_s();
@@ -673,15 +730,24 @@ IngestResult run_pipeline(std::string_view text, const IngestOptions& opts,
   return result;
 }
 
+
+/// run_pipeline on the executor opts.threads selects.
+IngestResult ingest_text(std::string_view text,
+                         std::unique_ptr<char[]> storage,
+                         const IngestOptions& opts) {
+  if (opts.threads == 1)
+    return run_pipeline(text, std::move(storage), opts, nullptr);
+  if (opts.threads == 0)
+    return run_pipeline(text, std::move(storage), opts, &ThreadPool::shared());
+  ThreadPool pool(opts.threads);
+  return run_pipeline(text, std::move(storage), opts, &pool);
+}
+
 }  // namespace
 
 IngestResult load_snap_buffer(std::string_view text,
                               const IngestOptions& opts) {
-  if (opts.threads == 1) return run_pipeline(text, opts, nullptr);
-  if (opts.threads == 0)
-    return run_pipeline(text, opts, &ThreadPool::shared());
-  ThreadPool pool(opts.threads);
-  return run_pipeline(text, opts, &pool);
+  return ingest_text(text, nullptr, opts);
 }
 
 IngestResult load_snap_file(const std::string& path,
@@ -689,30 +755,35 @@ IngestResult load_snap_file(const std::string& path,
   Stopwatch read;
   std::ifstream in(path, std::ios::binary);
   LGG_CHECK(in.good(), "cannot open graph file: " << path);
-  std::string buffer;
+  // Read straight into the one text buffer, sized by the file length when
+  // the stream can seek; one spare byte lets the first read see EOF.
+  // Inputs of unknown or growing size keep reading, doubling the buffer,
+  // until EOF.
+  std::size_t capacity = 1;
   if (in.seekg(0, std::ios::end); in.good()) {
     const auto size = in.tellg();
     in.seekg(0, std::ios::beg);
-    if (size > 0) buffer.reserve(static_cast<std::size_t>(size));
+    if (size > 0) capacity += static_cast<std::size_t>(size);
   }
   in.clear();
-  // Large-block reads: no per-line stream machinery on the ingest path.
-  constexpr std::size_t kBlock = 16u << 20;
-  std::string block(kBlock, '\0');
-  while (in.read(block.data(), static_cast<std::streamsize>(kBlock)) ||
-         in.gcount() > 0)
-    buffer.append(block.data(), static_cast<std::size_t>(in.gcount()));
+  auto text = std::make_unique_for_overwrite<char[]>(capacity);
+  std::size_t used = 0;
+  while (in.read(text.get() + used,
+                 static_cast<std::streamsize>(capacity - used))) {
+    used = capacity;
+    auto grown = std::make_unique_for_overwrite<char[]>(2 * capacity);
+    std::memcpy(grown.get(), text.get(), used);
+    text = std::move(grown);
+    capacity *= 2;
+  }
+  used += static_cast<std::size_t>(in.gcount());
   const double read_s = read.elapsed_s();
 
-  IngestResult result = load_snap_buffer(buffer, opts);
+  const std::string_view view(text.get(), used);
+  IngestResult result = ingest_text(view, std::move(text), opts);
   result.stats.read_s = read_s;
   result.stats.total_s += read_s;
   return result;
-}
-
-graph::Graph build_csr_parallel(std::size_t n, std::span<const Edge> edges,
-                                ThreadPool* pool) {
-  return build_csr_impl(n, edges, pool, nullptr);
 }
 
 }  // namespace lgg::ingest

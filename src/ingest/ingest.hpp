@@ -5,22 +5,26 @@
 // build dominate wall-clock long before any simulated kernel runs.  This
 // module rebuilds ingest as a ThreadPool-parallel pipeline:
 //
-//   read     file pulled into memory in large blocks
+//   read     file read straight into one text buffer (sized by the
+//            file length, grown until EOF for streams), freed once parsed
 //   parse    the buffer split into byte chunks at line boundaries; each
 //            chunk parsed independently with hand-rolled integer scanning
 //            (no istringstream on the hot path), then merged in chunk
 //            order — so comments, header fields, first-seen-order ids and
 //            even the *exact* malformed-line error (global line number and
 //            text) match the serial loader
-//   compact  sparse ids -> dense first-seen-order ids via bucketed
+//   compact  sparse ids -> dense first-seen-order ids, read in place from
+//            the per-chunk edge arrays (no merged copy) via bucketed
 //            first-occurrence maps, a position sort and a binary-search
 //            translation table
-//   build    parallel CSR: counting sort of each edge into its min
-//            endpoint's bucket, per-bucket sort + dedup on the dynamic
-//            scheduler (power-law skew), degree histogram with relaxed
-//            atomics, prefix offsets, then an adjacency fill that is
-//            sorted by construction (low side by destination-range
-//            transpose, then the vertex's own bucket; no final sort)
+//   build    parallel CSR (build_csr_parallel): per-executor histograms of
+//            each edge's min endpoint, a two-level prefix that gives every
+//            executor its own cursor into every bucket, an atomic-free
+//            scatter, per-bucket sort + dedup that also counts each
+//            vertex's low side, prefix offsets, then an adjacency fill
+//            that is sorted by construction (low side by
+//            destination-range transpose, then the vertex's own bucket;
+//            no final sort)
 //
 // Determinism contract (the same one PRs 1-5 established for the
 // simulator): the LoadedGraph — graph, original_ids, comments,
@@ -104,10 +108,12 @@ IngestResult load_snap_file(const std::string& path,
 /// Parallel replacement for Graph::from_edges with identical semantics and
 /// an identical result (same CSR arrays, same out-of-range error message):
 /// normalisation, dedup, offsets and adjacency fill all run on `pool`
-/// (nullptr = serial).  Exposed for callers that already hold a dense edge
-/// list; the SNAP loaders above use it internally.
+/// (nullptr = serial).  The SNAP loaders' one CSR build; when `stats` is
+/// given, the dropped self-loops and duplicate edges are added to it.
+/// Takes fewer than 2^32 edges (its bucket counters are 32-bit).
 graph::Graph build_csr_parallel(std::size_t n,
                                 std::span<const graph::Edge> edges,
-                                ThreadPool* pool = nullptr);
+                                ThreadPool* pool = nullptr,
+                                IngestStats* stats = nullptr);
 
 }  // namespace lgg::ingest

@@ -31,17 +31,6 @@ void refute_plan(FootprintReport& report, std::uint64_t addr,
   add_finding(report, HazardClass::kFootprintEscape, addr, message);
 }
 
-/// C(s,k) - C(s-x_max,k): the hockey-stick count of tests with first
-/// element below x_max (als_plan.hpp generalised to k-combinations).
-/// Overflow propagates the sentinel.
-std::uint64_t expected_tests(std::uint32_t s, std::uint32_t x_max,
-                             std::uint32_t k) {
-  const std::uint64_t all = combi::binomial(s, k);
-  const std::uint64_t tail = combi::binomial(x_max <= s ? s - x_max : 0, k);
-  if (all == combi::kBinomialOverflow) return combi::kBinomialOverflow;
-  return all - tail;
-}
-
 }  // namespace
 
 FootprintReport lint_footprint(const FootprintSpec& spec) {
@@ -70,7 +59,10 @@ FootprintReport lint_footprint(const FootprintSpec& spec) {
     // ids above it).
     const std::uint32_t x_bound =
         job.s + 1 >= job.k ? job.s - job.k + 1 : 0;
-    const std::uint64_t want = expected_tests(job.s, job.x_max, job.k);
+    // C(s,k) - C(s-x_max,k): the hockey-stick count of tests with first
+    // element below x_max (als_plan.hpp generalised to k-combinations).
+    const std::uint64_t want =
+        combi::binomial_difference(job.s, job.x_max, job.k);
     if (job.x_max > x_bound && job.tests != 0) {
       os.str("");
       os << "job " << r << ": x_max " << job.x_max << " exceeds s - k + 1 = "

@@ -43,14 +43,27 @@ ResidentGraph& Catalog::admit(const std::string& name,
   ResidentGraph entry;
   entry.name = name;
   entry.loaded = std::move(loaded);
-  entry.digest = graph::loaded_graph_digest(entry.loaded);
 
-  // Preprocessing, computed once per resident graph: the Algorithm 1
-  // plan (ALS chunk schedule) and the degree-ordered orientation.
+  // Preprocessing, computed once per resident graph: the digest, the
+  // Algorithm 1 plan (ALS chunk schedule) and the degree-ordered
+  // orientation.  The digest and the plan are serial and independent, so
+  // unless the catalog runs serial (threads == 1) they run as two tasks
+  // of one parallel_for; the orientation then fans out on the pool.
   core::HybridOptions popts;
   popts.device = opts_.device;
   popts.metric = opts_.metric;
-  entry.plan = core::precompute_als(entry.loaded.graph, popts);
+  const auto digest_or_plan = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t task = begin; task < end; ++task) {
+      if (task == 0)
+        entry.digest = graph::loaded_graph_digest(entry.loaded);
+      else
+        entry.plan = core::precompute_als(entry.loaded.graph, popts);
+    }
+  };
+  if (opts_.threads == 1)
+    digest_or_plan(0, 2);
+  else
+    ThreadPool::shared().parallel_for(2, digest_or_plan);
   entry.dodg =
       ingest::orient_by_degree(entry.loaded.graph, &ThreadPool::shared());
 

@@ -36,7 +36,9 @@ namespace lgg::serve {
 
 struct CatalogOptions {
   /// Ingest worker budget (ingest::IngestOptions::threads semantics);
-  /// the loaded graph is byte-identical at any setting.
+  /// the loaded graph is byte-identical at any setting.  Admission is
+  /// serial at 1; otherwise the digest and the ALS plan are computed
+  /// concurrently on the shared pool.  Every artifact is the same.
   std::size_t threads = 0;
   /// Device whose shared-memory budget the ALS plan targets; nullptr
   /// selects the paper's C1060 (must match the Service's device).

@@ -7,12 +7,15 @@
 // sparse and dense id spaces, and the error paths (which must report the
 // serial loader's exact message, global line number included).
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <algorithm>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -197,6 +200,107 @@ TEST(IngestFile, LoadsWhatItWrites) {
   EXPECT_GT(got.stats.bytes, 0u);
   EXPECT_EQ(got.stats.edge_lines, g.num_edges());
   EXPECT_THROW(load_snap_file("/nonexistent/graph.txt"), lgg::Error);
+}
+
+/// load_snap_file on a file holding `text` against load_snap_buffer on the
+/// same bytes: the same digest and counters, or the same error text.
+void expect_file_matches_buffer(const std::string& text,
+                                const IngestOptions& opts) {
+  const util::TempPath file = util::TempPath::file("lgg-ingest");
+  {
+    std::ofstream out(file.path(), std::ios::binary);
+    out << text;
+  }
+  std::string buffer_error;
+  std::string file_error;
+  IngestResult from_buffer;
+  IngestResult from_file;
+  try {
+    from_buffer = load_snap_buffer(text, opts);
+  } catch (const lgg::Error& e) {
+    buffer_error = e.what();
+  }
+  try {
+    from_file = load_snap_file(file.path(), opts);
+  } catch (const lgg::Error& e) {
+    file_error = e.what();
+  }
+  EXPECT_EQ(file_error, buffer_error);
+  if (!buffer_error.empty()) return;
+  expect_identical(from_file.loaded, from_buffer.loaded);
+  const IngestStats& got = from_file.stats;
+  const IngestStats& want = from_buffer.stats;
+  EXPECT_EQ(got.bytes, text.size());
+  EXPECT_EQ(got.bytes, want.bytes);
+  EXPECT_EQ(got.lines, want.lines);
+  EXPECT_EQ(got.edge_lines, want.edge_lines);
+  EXPECT_EQ(got.comment_lines, want.comment_lines);
+  EXPECT_EQ(got.distinct_vertices, want.distinct_vertices);
+  EXPECT_EQ(got.duplicate_edges, want.duplicate_edges);
+  EXPECT_EQ(got.self_loops, want.self_loops);
+  EXPECT_EQ(got.chunks, want.chunks);
+  EXPECT_EQ(got.threads, want.threads);
+}
+
+TEST(IngestFile, FileEqualsBufferOnTheSameBytes) {
+  std::string many_chunks = snap_text(graph::rmat(10, 8, 5), "many chunks");
+  many_chunks += "5 5\n7 9\n9 7\n";  // a self-loop and a duplicate
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"empty", ""},
+      {"no trailing newline", "# c\n1 2\n2 3"},
+      {"crlf", "# Nodes: 4\r\n1 2\r\n2 3\r\n\r\n3 1\r\n"},
+      {"many chunks", many_chunks},
+      {"malformed", "1 2\n2 3\nnot an edge\n3 4\n"},
+  };
+  for (const auto& [name, text] : cases) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      for (const std::size_t chunk_bytes :
+           {std::size_t{64}, std::size_t{4u << 20}}) {
+        SCOPED_TRACE(name + " threads=" + std::to_string(threads) +
+                     " chunk_bytes=" + std::to_string(chunk_bytes));
+        IngestOptions opts;
+        opts.threads = threads;
+        opts.chunk_bytes = chunk_bytes;
+        expect_file_matches_buffer(text, opts);
+      }
+    }
+  }
+  // Many chunks means many: the file crosses hundreds of 64-byte chunks.
+  IngestOptions tiny;
+  tiny.chunk_bytes = 64;
+  EXPECT_GT(load_snap_buffer(many_chunks, tiny).stats.chunks, 100u);
+
+  const std::string missing = "/nonexistent/lgg-graph.txt";
+  try {
+    load_snap_file(missing);
+    FAIL() << "a missing file loaded";
+  } catch (const lgg::Error& e) {
+    EXPECT_EQ(std::string(e.what()), "cannot open graph file: " + missing);
+  }
+}
+
+TEST(IngestFile, ReadsAStreamOfUnknownSizeToEof) {
+  // A FIFO cannot seek, so the reader has no size hint and must grow its
+  // buffer until EOF.
+  const std::string text = snap_text(graph::gnm(300, 2000, 9), "fifo");
+  const util::TempPath dir = util::TempPath::dir("lgg-ingest");
+  const std::string fifo = dir.path() + "/graph.fifo";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  std::thread writer([&] {
+    std::ofstream out(fifo, std::ios::binary);
+    out << text;
+  });
+  IngestResult got;
+  std::string error;
+  try {
+    got = load_snap_file(fifo);
+  } catch (const lgg::Error& e) {
+    error = e.what();
+  }
+  writer.join();
+  ASSERT_EQ(error, "");
+  expect_identical(got.loaded, load_snap_buffer(text).loaded);
+  EXPECT_EQ(got.stats.bytes, text.size());
 }
 
 TEST(IngestCsr, MatchesFromEdgesIncludingErrors) {

@@ -441,6 +441,29 @@ TEST(FootprintLint, RefutesInconsistentPlan) {
   EXPECT_FALSE(r.plan_consistent);
 }
 
+TEST(FootprintLint, ChecksTestCountsPastChoose3Overflow) {
+  // One k = 3 job of s = 5,000,000: C(s, 3) alone passes 2^64, but the
+  // job's count C(s-1, 2) fits and must still be checked.
+  FootprintSpec spec;
+  spec.warp_size = 32;
+  spec.workers = 32;
+  spec.division = WorkDivision::kCyclic;
+  FootprintJob job;
+  job.s = 5000000;
+  job.x_max = 1;
+  job.k = 3;
+  job.index_bound = job.s;
+  job.block = kNoBlock;
+  job.tests = 7;
+  spec.jobs.push_back(job);
+  spec.total_tests = job.tests;
+  EXPECT_FALSE(lint_footprint(spec).plan_consistent);
+
+  spec.jobs[0].tests = 12499992500001u;  // C(4,999,999, 2)
+  spec.total_tests = spec.jobs[0].tests;
+  EXPECT_TRUE(lint_footprint(spec).plan_consistent);
+}
+
 TEST(FootprintLint, RefutesIndexBoundBelowJobSize) {
   const graph::Graph g = graph::erdos_renyi(120, 0.08, 17);
   FootprintSpec spec = core::als_footprint_spec(g, {});

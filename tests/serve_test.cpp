@@ -14,7 +14,11 @@
 #include "core/hybrid.hpp"
 #include "core/triangle_cpu.hpp"
 #include "graph/bfs.hpp"
+#include "graph/digest.hpp"
 #include "graph/generators.hpp"
+#include "graph/io.hpp"
+#include "ingest/ingest.hpp"
+#include "ingest/orient.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
@@ -25,6 +29,7 @@
 #include "serve/request.hpp"
 #include "serve/service.hpp"
 #include "util/prng.hpp"
+#include "util/temp_path.hpp"
 
 namespace lgg {
 namespace {
@@ -435,6 +440,61 @@ TEST(ServePlan, PreparedPlanMatchesColdRunsAndChargesNoPreprocessing) {
   EXPECT_TRUE(rep_warm.certified);
   EXPECT_EQ(rep_warm.log, rep_cold.log);
   EXPECT_LT(rep_warm.total_time_s, rep_cold.total_time_s);
+}
+
+TEST(ServeCatalog, AdmissionMatchesSequentialCallsAtAnyThreadCount) {
+  // Catalog::admit computes the digest and the plan as two concurrent
+  // tasks unless threads == 1; every artifact must equal the one-by-one
+  // serial calls.  A layered graph gives several chunks, and a second
+  // component a second level decomposition.
+  graph::Graph g = graph::layered_random(1200, 20, 0.5, 0.2, 9);
+  std::vector<graph::Edge> edges = g.edges();
+  const auto n = static_cast<graph::Vertex>(g.num_vertices());
+  for (graph::Vertex v = 0; v + 1 < 40; ++v)
+    edges.emplace_back(n + v, n + v + 1);
+  g = graph::Graph::from_edges(n + 40, edges);
+  const util::TempPath file = util::TempPath::file("lgg-serve-admit");
+  graph::write_snap_edge_list_file(file.path(), g, "admission");
+
+  ingest::IngestOptions serial;
+  serial.threads = 1;
+  const graph::LoadedGraph loaded =
+      ingest::load_snap_file(file.path(), serial).loaded;
+  const std::uint64_t digest = graph::loaded_graph_digest(loaded);
+  const core::AlsPrecomputed plan = core::precompute_als(loaded.graph);
+  const ingest::OrientedGraph dodg = ingest::orient_by_degree(loaded.graph,
+                                                              nullptr);
+  ASSERT_GT(plan.works.size(), 2u);
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{0},
+                                    std::size_t{8}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    serve::CatalogOptions copts;
+    copts.threads = threads;
+    serve::Catalog catalog(copts);
+    const serve::ResidentGraph& entry = catalog.load_file("g", file.path());
+    EXPECT_EQ(entry.digest, digest);
+    EXPECT_EQ(entry.plan.total_tests, plan.total_tests);
+    EXPECT_EQ(entry.plan.chunk_tests, plan.chunk_tests);
+    EXPECT_EQ(entry.plan.preprocessing_s, plan.preprocessing_s);
+    ASSERT_EQ(entry.plan.works.size(), plan.works.size());
+    for (std::size_t c = 0; c < plan.works.size(); ++c) {
+      const core::ChunkWork& got = entry.plan.works[c];
+      const core::ChunkWork& want = plan.works[c];
+      EXPECT_EQ(got.tests, want.tests) << "chunk " << c;
+      ASSERT_EQ(got.jobs.size(), want.jobs.size()) << "chunk " << c;
+      for (std::size_t j = 0; j < want.jobs.size(); ++j) {
+        EXPECT_EQ(got.jobs[j].local_to_global, want.jobs[j].local_to_global);
+        EXPECT_EQ(got.jobs[j].s, want.jobs[j].s);
+        EXPECT_EQ(got.jobs[j].x_max, want.jobs[j].x_max);
+        EXPECT_EQ(got.jobs[j].tests, want.jobs[j].tests);
+        EXPECT_EQ(got.jobs[j].test_offset, want.jobs[j].test_offset);
+      }
+    }
+    EXPECT_EQ(entry.dodg.offsets, dodg.offsets);
+    EXPECT_EQ(entry.dodg.targets, dodg.targets);
+    EXPECT_EQ(entry.dodg.max_out_degree, dodg.max_out_degree);
+  }
 }
 
 TEST(ServeFaults, ResponsesByteIdenticalAcrossThreadsUnderFaults) {
