@@ -6,10 +6,10 @@
 # suites + golden profile-tree + lgg_prof diff gate), the bench stage
 # (bench_smoke vs the committed baseline via ci/bench_diff), the
 # address+UB-sanitized preset, the thread-sanitized preset (concurrency
-# label only -- TSan is too slow for the full suite), and finally the
-# lint stage: lgg_lint's
-# determinism source lint + whole-pipeline plan verification (always), and
-# clang-tidy on top when installed.
+# label only -- TSan is too slow for the full suite), the lint stage:
+# lgg_lint's determinism source lint + whole-pipeline plan verification
+# (always), and clang-tidy on top when installed, and finally the
+# dead-code audit against ci/deadcode_allow.txt.
 #
 # Usage: ci/check.sh [extra ctest args, e.g. -j8]
 set -euo pipefail
@@ -20,7 +20,7 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 
 step() { printf '\n=== %s ===\n' "$*"; }
 
-step "core: one launch path, one plan prologue, one ALS test walker, one flag grammar"
+step "core: one launch path, one plan prologue, one ALS test walker, one flag grammar, one fault consumer"
 # core::launch (src/core/launch.cpp) is the only place in src/core that
 # runs the simulator, builds the sancheck analyzer, rescales a sampled
 # report, hands a launch to the profiler or records kernel counters; a
@@ -76,6 +76,20 @@ if grep -rnE 'strto|std::sto|atoi|OutputGrammar' tools; then
   exit 1
 fi
 
+# One fault consumer: the resilient runner is the only code that installs
+# a fault injector, so core::RunContext (every driver's options) has no
+# fault hook, and the injector has no replay mode.
+if grep -rnw 'FaultPlan' src tools; then
+  echo "FaultPlan is gone: a fault scenario is its (seed, rates)" >&2
+  exit 1
+fi
+if awk '/^struct RunContext /,/^};/' src/core/launch.hpp \
+      | grep -nE '[[:alnum:]_>*&][[:space:]*&]+faults[[:space:]]*(=|;|\{)'; then
+  echo "core::RunContext declares a faults member: the resilient runner" \
+       "is the only fault consumer (resilience::RunnerOptions::faults)" >&2
+  exit 1
+fi
+
 step "default: configure + build"
 cmake --preset default
 cmake --build --preset default -j "$JOBS"
@@ -96,8 +110,8 @@ build/tools/lgg_fuzz campaign --seconds 30 --iterations 100000 --seed 20130520
 
 step "resilience: fault-injection + recovery suites"
 # The resilience-labelled tests (ctest -L resilience) pin the DESIGN.md
-# section 11 contract: exact counts under injected faults, FaultPlan /
-# RunReport accounting, and thread-count-independent fault campaigns.
+# section 11 contract: exact counts under injected faults, injector /
+# RecoveryStats accounting, and thread-count-independent fault campaigns.
 ctest --test-dir build -L resilience --output-on-failure \
       "${CTEST_ARGS[@]+"${CTEST_ARGS[@]}"}"
 
@@ -336,5 +350,11 @@ build/tools/lgg_lint --verify-plans --loss-k=2
 
 step "lint: lgg_lint + clang-tidy via the CMake target"
 cmake --build build --target lint
+
+step "deadcode: test-only library symbols all in ci/deadcode_allow.txt"
+# Release build with per-function sections and linker GC (the deadcode
+# preset); a library function that survives only in test binaries must
+# be deleted, called from a tool/bench/example, or allowed with a reason.
+ci/dead_code.sh --allowlist ci/deadcode_allow.txt
 
 step "all checks passed"

@@ -61,13 +61,6 @@ std::uint64_t binomial_difference_wide(std::uint32_t s, std::uint32_t x,
 
 }  // namespace detail
 
-std::optional<std::uint64_t> binomial_checked(std::uint64_t n,
-                                              std::uint64_t k) noexcept {
-  const std::uint64_t value = binomial(n, k);
-  if (value == kBinomialOverflow) return std::nullopt;
-  return value;
-}
-
 std::uint64_t precomputed_storage_bits(std::uint64_t n,
                                        std::uint64_t k) noexcept {
   const std::uint64_t combos = binomial(n, k);

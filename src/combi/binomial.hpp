@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 
 namespace lgg::combi {
 
@@ -19,10 +18,6 @@ inline constexpr std::uint64_t kBinomialOverflow = ~std::uint64_t{0};
 /// C(n, 0) == 1; k > n yields 0.  O(min(k, n-k)) multiplications with
 /// 128-bit intermediates, exact at every step.
 std::uint64_t binomial(std::uint64_t n, std::uint64_t k) noexcept;
-
-/// Checked variant: std::nullopt on overflow.
-std::optional<std::uint64_t> binomial_checked(std::uint64_t n,
-                                              std::uint64_t k) noexcept;
 
 /// Storage cost, in bits, of precomputing all C(n, k) combinations of
 /// k * log2ceil(n)-bit node ids — the paper's Section VIII-A accounting

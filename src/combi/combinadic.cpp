@@ -33,14 +33,6 @@ void combination_from_index(std::uint64_t index, std::uint32_t n,
   }
 }
 
-std::vector<std::uint32_t> combination_from_index(std::uint64_t index,
-                                                  std::uint32_t n,
-                                                  std::uint32_t k) {
-  std::vector<std::uint32_t> out(k);
-  combination_from_index(index, n, k, out);
-  return out;
-}
-
 std::uint64_t index_from_combination(std::span<const std::uint32_t> combo,
                                      std::uint32_t n) {
   const auto k = static_cast<std::uint32_t>(combo.size());

@@ -13,18 +13,13 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace lgg::combi {
 
 /// Unrank: the `index`-th (0-based) k-combination of [0, n) in
-/// lexicographic order.  Throws lgg::Error if index >= C(n, k).
-std::vector<std::uint32_t> combination_from_index(std::uint64_t index,
-                                                  std::uint32_t n,
-                                                  std::uint32_t k);
-
-/// In-place unrank into a caller-provided buffer of size k (no allocation;
-/// this is the form the simulated kernels use).
+/// lexicographic order, written into `out` (size k; no allocation, so the
+/// simulated kernels call it per thread).  Throws lgg::Error if
+/// index >= C(n, k) or out.size() != k.
 void combination_from_index(std::uint64_t index, std::uint32_t n,
                             std::uint32_t k, std::span<std::uint32_t> out);
 

@@ -38,9 +38,9 @@ GpuBfsResult bfs_gpu(const Graph& g, Vertex source,
   const gpusim::DeviceSpec& dev = launch_shape(opts.device, 0, tpb).dev;
 
   const std::uint64_t n = g.num_vertices();
-  gpusim::DeviceMemory mem(dev, opts.faults);
+  gpusim::DeviceMemory mem(dev);
   const BfsBuffers bufs = alloc_bfs(g, mem);
-  const gpusim::Simulator sim(dev, opts.faults);
+  const gpusim::Simulator sim(dev);
 
   GpuBfsResult result;
   result.tree.source = source;

@@ -7,6 +7,7 @@
 
 #include "core/als_plan.hpp"
 #include "graph/bfs.hpp"
+#include "graph/bit_matrix.hpp"
 #include "gpusim/calibration.hpp"
 #include "gpusim/executor.hpp"
 #include "gpusim/memory.hpp"
@@ -128,7 +129,8 @@ ChunkLaunch run_chunk_kernel(const graph::Graph& g, const graph::Chunk& chunk,
   // block barriers (the simulated __syncthreads), and only then probes.
   // The sync annotation is what tells sancheck the write and read
   // phases are ordered — without it every probe would race the staging.
-  const std::uint64_t utm_words = (local_n * (local_n - 1) / 2 + 31) / 32;
+  const std::uint64_t utm_words =
+      (graph::SutMatrix::storage_bits(local_n) + 31) / 32;
   const gpusim::KernelFn kernel = [&](const gpusim::ThreadCtx& ctx,
                                       gpusim::ThreadRecorder& rec) {
     if (chunk.fits_shared) {
@@ -157,13 +159,10 @@ ChunkLaunch run_chunk_kernel(const graph::Graph& g, const graph::Chunk& chunk,
           chunk_pos.data() + pos_begin[cursor.job_index()];
       const std::uint64_t lu = pos[t.x], lv = pos[t.y], lw = pos[t.z];
       if (chunk.fits_shared) {
-        // S-UTM layout in shared memory: word of pair (i < j), bit
-        // index i*(2n - i - 1)/2 + (j - i - 1).
+        // S-UTM layout in shared memory: the word of the pair's bit.
         const auto word = [&](std::uint64_t a, std::uint64_t b) {
           if (a > b) std::swap(a, b);
-          const std::uint64_t bit =
-              a * (2 * local_n - a - 1) / 2 + (b - a - 1);
-          return (bit / 32) * 4;
+          return (graph::SutMatrix::pair_index(local_n, a, b) / 32) * 4;
         };
         rec.shared_read(word(lu, lv));
         rec.shared_read(word(lv, lw));
@@ -333,7 +332,7 @@ HybridFootprint hybrid_footprint_spec(const graph::Graph& g,
       // index is bounded by the last pair's word, so one LinearAccess over
       // the flat word array bounds both the staging loop and every probe.
       const std::uint64_t utm_words =
-          (local_n * (local_n - 1) / 2 + 31) / 32;
+          (graph::SutMatrix::storage_bits(local_n) + 31) / 32;
       spec.blocks.push_back({0, shared_bytes, 4});
       spec.accesses.push_back(
           {std::max<std::uint64_t>(utm_words, 1), 4, 4, 0, "s-utm words"});
@@ -380,8 +379,8 @@ HybridResult count_triangles_hybrid(const graph::Graph& g,
   const graph::ChunkingResult& chunking = plan.chunking;
 
   HybridResult result;
-  const gpusim::Simulator sim(dev, opts.faults);
-  gpusim::DeviceMemory mem(dev, opts.faults);
+  const gpusim::Simulator sim(dev);
+  gpusim::DeviceMemory mem(dev);
 
   std::uint64_t device_bytes = 0;
   std::vector<std::uint64_t> job_times_ns;

@@ -40,9 +40,8 @@ enum class SchedulerKind : int { kList = 0, kLpt = 1, kMultifit = 2 };
 
 struct AlsPrecomputed;
 
-/// A fired `faults` hook (RunContext) makes chunk allocations and launches
-/// throw gpusim::DeviceFault; this pipeline does NOT recover — use
-/// resilience::run_resilient for retry/failover semantics.
+/// This pipeline runs fault-free: resilience::run_resilient is the one
+/// driver that injects device faults and recovers from them.
 struct HybridOptions : RunContext {
   /// Device to simulate; nullptr selects the paper's C1060.
   const gpusim::DeviceSpec* device = nullptr;

@@ -100,10 +100,10 @@ GpuIntersectResult count_triangles_gpu_intersect(
   GpuIntersectResult result;
   result.total_edges = oriented.edges.size();
 
-  gpusim::DeviceMemory mem(dev, opts.faults);
+  gpusim::DeviceMemory mem(dev);
   const CsrBuffers csr = alloc_csr(g, oriented, mem);
   result.device_bytes = csr.offsets.bytes + csr.adj.bytes;
-  const gpusim::Simulator sim(dev, opts.faults);
+  const gpusim::Simulator sim(dev);
   obs::Scope driver(opts.obs, "gpu/intersect", "driver");
   if (driver) driver.arg("edges", result.total_edges);
   result.transfer = stage(opts, sim, result.device_bytes);

@@ -19,7 +19,9 @@
 namespace lgg::core {
 
 /// The options every simulated driver takes (each driver's option struct
-/// derives from this).
+/// and resilience::RunnerOptions derive from this).  Drivers build their
+/// own fault-free DeviceMemory and Simulator; the resilient runner is the
+/// one place that installs a fault injector (DESIGN.md §11).
 struct RunContext {
   /// Host-side simulator execution policy (default: parallel across host
   /// cores; results are bit-identical to serial).
@@ -28,10 +30,6 @@ struct RunContext {
   /// attaches a HazardReport to the launch's KernelReport, kStrict throws
   /// lgg::Error on the first hazard.
   sancheck::SancheckMode sancheck = sancheck::SancheckMode::kOff;
-  /// Optional fault hook (non-owning) installed on the driver's
-  /// DeviceMemory and Simulator; fired faults surface as
-  /// gpusim::DeviceFault (DESIGN.md §11).
-  gpusim::FaultHook* faults = nullptr;
   /// Optional observability session (non-owning): driver/plan/transfer/
   /// launch spans on the modelled timeline plus gpusim counters
   /// (DESIGN.md §12).
@@ -103,7 +101,8 @@ struct LaunchSpec {
 /// (KernelReport::rescale; no-op for factor <= 1), hands both to the
 /// profiler, sets the span duration and args from the final report, and
 /// records the gpusim counters.
-/// Device faults propagate with the span closed and nothing recorded.
+/// Device faults (from a fault hook installed on `spec.sim` or
+/// `spec.mem`) propagate with the span closed and nothing recorded.
 gpusim::KernelReport launch(const RunContext& ctx, const LaunchSpec& spec,
                             const gpusim::KernelFn& kernel);
 

@@ -10,28 +10,6 @@ namespace lgg::core {
 using graph::Graph;
 using graph::Vertex;
 
-std::uint64_t common_neighbors(const Graph& g, Vertex u, Vertex v) {
-  LGG_CHECK(u < g.num_vertices() && v < g.num_vertices(),
-            "common_neighbors: vertex out of range");
-  const auto a = g.neighbors(u);
-  const auto b = g.neighbors(v);
-  std::uint64_t count = 0;
-  auto ia = a.begin();
-  auto ib = b.begin();
-  while (ia != a.end() && ib != b.end()) {
-    if (*ia < *ib)
-      ++ia;
-    else if (*ib < *ia)
-      ++ib;
-    else {
-      ++count;
-      ++ia;
-      ++ib;
-    }
-  }
-  return count;
-}
-
 std::vector<FriendSuggestion> suggest_friends(const Graph& g, Vertex v,
                                               std::size_t limit) {
   LGG_CHECK(v < g.num_vertices(), "suggest_friends: vertex out of range");

@@ -9,10 +9,6 @@
 
 namespace lgg::core {
 
-/// Number of common neighbours of u and v (sorted-list intersection).
-std::uint64_t common_neighbors(const graph::Graph& g, graph::Vertex u,
-                               graph::Vertex v);
-
 struct FriendSuggestion {
   graph::Vertex candidate = 0;
   std::uint64_t mutual_friends = 0;

@@ -122,9 +122,9 @@ GpuKCountResult run_kcount(const Graph& g, std::uint32_t k,
   const std::vector<WindowJob> windows = build_windows(g, k, total);
   result.total_tests = total;
 
-  gpusim::DeviceMemory mem(dev, opts.faults);
+  gpusim::DeviceMemory mem(dev);
   const DeviceMatrix matrix = alloc_matrix(g, mem);
-  const gpusim::Simulator sim(dev, opts.faults);
+  const gpusim::Simulator sim(dev);
   obs::Scope driver(opts.obs, "gpu/subgraph", "driver");
   if (driver) {
     driver.arg("k", static_cast<std::uint64_t>(k));

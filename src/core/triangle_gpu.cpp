@@ -120,11 +120,11 @@ GpuTriangleResult count_triangles_gpu(const graph::Graph& g,
     }
   }
 
-  gpusim::DeviceMemory mem(dev, opts.faults);
+  gpusim::DeviceMemory mem(dev);
   const Layout layout = build_layout(g, plan, opts.layout, mem);
   result.device_bytes = layout.total_bytes;
 
-  const gpusim::Simulator sim(dev, opts.faults);
+  const gpusim::Simulator sim(dev);
   result.transfer = stage(opts, sim, layout.total_bytes);
   if (opts.obs != nullptr) {
     const gpusim::OccupancyResult occ =

@@ -4,17 +4,19 @@
 // kernel launch errors out, an SM hits an ECC event or the watchdog kills
 // it mid-kernel, a PCIe transfer flips bits.  The simulator exposes those
 // seams through one narrow interface — FaultHook — that DeviceMemory and
-// Simulator consult at each fault site.  The hook decides (true = inject)
-// and owns all randomness/recording, so gpusim itself stays deterministic
-// and policy-free; lgg::resilience::FaultInjector is the seed-driven
-// implementation.
+// Simulator take at construction and consult at each fault site.  The
+// hook decides (true = inject) and owns all randomness/recording, so
+// gpusim itself stays deterministic and policy-free.
+// lgg::resilience::FaultInjector is the one implementation, and the
+// resilient runner is the one place that installs it; the plain GPU
+// drivers build their DeviceMemory and Simulator without a hook.
 //
 // Determinism contract: every hook call is made from the host-serial part
 // of a run — allocation, launch entry, the per-SM pre-shard sweep, and
 // transfer pricing — never from inside the parallel warp replay.  The call
 // sequence is therefore a pure function of the workload, independent of
-// the host thread count, which is what makes fault campaigns replayable
-// and their logs byte-identical across ExecPolicies.
+// the host thread count, which is what makes fault campaigns reproducible
+// from their seed and their logs byte-identical across ExecPolicies.
 #pragma once
 
 #include <cstddef>

@@ -6,7 +6,10 @@
 
 namespace lgg::gpusim {
 
-const char* to_string(OccupancyLimiter limiter) noexcept {
+namespace {
+
+/// The resource a limiter names in occupancy()'s launch error.
+const char* limiter_name(OccupancyLimiter limiter) noexcept {
   switch (limiter) {
     case OccupancyLimiter::kWarpSlots:
       return "warp slots";
@@ -21,6 +24,8 @@ const char* to_string(OccupancyLimiter limiter) noexcept {
   }
   return "?";
 }
+
+}  // namespace
 
 OccupancyResult occupancy(const DeviceSpec& dev, const KernelResources& res) {
   LGG_CHECK(res.threads_per_block > 0, "occupancy: empty block");
@@ -64,7 +69,7 @@ OccupancyResult occupancy(const DeviceSpec& dev, const KernelResources& res) {
   LGG_CHECK(result.blocks_per_sm > 0,
             "kernel cannot launch on "
                 << dev.name << ": one block exceeds the SM's "
-                << to_string(result.limiter));
+                << limiter_name(result.limiter));
   result.warps_per_sm = result.blocks_per_sm * warps_per_block;
   result.occupancy = static_cast<double>(result.warps_per_sm) /
                      static_cast<double>(dev.max_warps_per_sm);

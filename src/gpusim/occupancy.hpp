@@ -28,8 +28,6 @@ enum class OccupancyLimiter : int {
   kSharedMemory = 4,
 };
 
-[[nodiscard]] const char* to_string(OccupancyLimiter limiter) noexcept;
-
 struct OccupancyResult {
   std::uint32_t blocks_per_sm = 0;
   std::uint32_t warps_per_sm = 0;

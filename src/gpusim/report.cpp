@@ -135,17 +135,4 @@ std::ostream& operator<<(std::ostream& os, const KernelReport& r) {
   return os;
 }
 
-std::ostream& operator<<(std::ostream& os, const RunReport& r) {
-  os << "GPU run: h2d " << format_bytes(r.host_to_device.bytes) << " in "
-     << format_seconds(r.host_to_device.time_s) << ", " << r.kernels
-     << " kernel(s) in " << format_seconds(r.kernel_time_s) << ", total "
-     << format_seconds(r.total_time_s) << ", camping x" << std::fixed
-     << std::setprecision(3) << r.mean_camping_factor << ", txn/slot "
-     << std::setprecision(2) << r.mean_transactions_per_slot;
-  if (r.faults_injected != 0 || r.retries != 0 || r.failovers != 0)
-    os << "\n  faults " << r.faults_injected << ", retries " << r.retries
-       << ", failovers " << r.failovers;
-  return os;
-}
-
 }  // namespace lgg::gpusim

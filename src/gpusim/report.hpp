@@ -213,6 +213,4 @@ struct RunReport {
   std::uint64_t failovers = 0;        // units abandoned to a fallback path
 };
 
-std::ostream& operator<<(std::ostream& os, const RunReport& r);
-
 }  // namespace lgg::gpusim

@@ -41,41 +41,6 @@ std::uint64_t BitMatrix::max_vertices_for(std::uint64_t mem_bits) noexcept {
   return n;
 }
 
-SutMatrix::SutMatrix(std::size_t n)
-    : n_(n), words_(words_for_bits(storage_bits(n)), 0) {}
-
-SutMatrix SutMatrix::from_graph(const Graph& g) {
-  SutMatrix m(g.num_vertices());
-  for (Vertex u = 0; u < g.num_vertices(); ++u)
-    for (Vertex v : g.neighbors(u))
-      if (u < v) m.set(u, v);
-  return m;
-}
-
-std::uint64_t SutMatrix::pair_index(std::size_t i, std::size_t j) const noexcept {
-  // Row i (0-based) of the strict upper triangle holds n-1-i bits and
-  // starts at sum_{r<i} (n-1-r) = i*(2n - i - 1)/2.
-  const std::uint64_t offset =
-      static_cast<std::uint64_t>(i) * (2 * n_ - i - 1) / 2;
-  return offset + (j - i - 1);
-}
-
-bool SutMatrix::get(std::size_t i, std::size_t j) const noexcept {
-  if (i == j) return false;
-  if (i > j) std::swap(i, j);
-  return get_bit(words_, pair_index(i, j));
-}
-
-void SutMatrix::set(std::size_t i, std::size_t j, bool value) noexcept {
-  if (i == j) return;
-  if (i > j) std::swap(i, j);
-  std::span<std::uint64_t> w{words_.data(), words_.size()};
-  if (value)
-    set_bit(w, pair_index(i, j));
-  else
-    clear_bit(w, pair_index(i, j));
-}
-
 std::uint64_t SutMatrix::max_vertices_for(std::uint64_t mem_bits) noexcept {
   // Paper Table II accounting: UTM needs n(n+1)/2 <= S_mem; S-UTM (no
   // diagonal) admits one more vertex.  Solve n(n+1)/2 <= mem_bits, then +1.

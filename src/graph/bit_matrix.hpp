@@ -2,11 +2,11 @@
 //
 //  * BitMatrix  — full n×n adjacency matrix, one bit per ordered pair
 //                 (Eq. 1: n^2 <= S_mem).
-//  * SutMatrix  — Strictly Upper Triangular Matrix (S-UTM): only pairs with
-//                 i < j are stored (Eq. 2: n(n+1)/2 <= S_mem for UTM; the
-//                 strict variant drops the diagonal and stores n(n-1)/2
-//                 bits, which is what lets "the largest graph increase
-//                 by 1" in the paper's Table II).
+//  * SutMatrix  — the Strictly Upper Triangular Matrix (S-UTM) layout: only
+//                 pairs with i < j are stored (Eq. 2: n(n+1)/2 <= S_mem for
+//                 UTM; the strict variant drops the diagonal and stores
+//                 n(n-1)/2 bits, which is what lets "the largest graph
+//                 increase by 1" in the paper's Table II).
 //
 // Both support the capacity queries the paper's Table II is computed from.
 #pragma once
@@ -60,30 +60,24 @@ class BitMatrix {
   std::vector<std::uint64_t> words_;
 };
 
-/// Strictly upper triangular bit matrix for undirected simple graphs:
-/// stores only pairs (i, j) with i < j, n(n-1)/2 bits.
+/// The Strictly Upper Triangular Matrix layout for undirected simple
+/// graphs: only pairs (i, j) with i < j are stored, n(n-1)/2 bits.  The
+/// hybrid chunk kernel stages a shared-resident chunk in this layout and
+/// addresses it through pair_index; Table II's capacity comes from
+/// max_vertices_for.
 class SutMatrix {
  public:
-  explicit SutMatrix(std::size_t n = 0);
-  static SutMatrix from_graph(const Graph& g);
-
-  [[nodiscard]] std::size_t size() const noexcept { return n_; }
-
-  /// Linear bit index of the pair (i, j), i < j, in row-major strict upper
-  /// triangular order: row i starts at i*n - i(i+1)/2 - i ... computed as
-  /// offset(i) + (j - i - 1).
-  [[nodiscard]] std::uint64_t pair_index(std::size_t i, std::size_t j) const noexcept;
-
-  /// Symmetric lookup: get(i, j) == get(j, i); get(i, i) == false.
-  [[nodiscard]] bool get(std::size_t i, std::size_t j) const noexcept;
-  void set(std::size_t i, std::size_t j, bool value = true) noexcept;
-
-  [[nodiscard]] std::span<const std::uint64_t> raw_words() const noexcept {
-    return words_;
+  /// Linear bit index of the pair (i, j), i < j < n, in row-major strict
+  /// upper triangular order: row i holds n-1-i bits and starts at
+  /// sum_{r<i} (n-1-r) = i(2n - i - 1)/2.
+  [[nodiscard]] static constexpr std::uint64_t pair_index(
+      std::uint64_t n, std::uint64_t i, std::uint64_t j) noexcept {
+    return i * (2 * n - i - 1) / 2 + (j - i - 1);
   }
 
   /// Logical storage cost in bits: n(n-1)/2 (paper's S-UTM).
-  [[nodiscard]] static std::uint64_t storage_bits(std::uint64_t n) noexcept {
+  [[nodiscard]] static constexpr std::uint64_t storage_bits(
+      std::uint64_t n) noexcept {
     return n * (n - 1) / 2;
   }
 
@@ -92,10 +86,6 @@ class SutMatrix {
   /// vertex for dropping the diagonal; max_vertices_for reproduces that
   /// accounting (see bench_table2_maxsize).
   static std::uint64_t max_vertices_for(std::uint64_t mem_bits) noexcept;
-
- private:
-  std::size_t n_ = 0;
-  std::vector<std::uint64_t> words_;
 };
 
 }  // namespace lgg::graph

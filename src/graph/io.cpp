@@ -1,7 +1,7 @@
 #include "graph/io.hpp"
 
 #include <algorithm>
-#include <fstream>
+#include <filesystem>
 #include <sstream>
 #include <unordered_map>
 
@@ -69,10 +69,18 @@ LoadedGraph read_snap_edge_list(std::istream& in,
   return loaded;
 }
 
+std::ifstream open_graph_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  LGG_CHECK(in.good(), "cannot open graph file: " << path);
+  std::error_code ec;
+  LGG_CHECK(!std::filesystem::is_directory(path, ec),
+            "graph file is a directory: " << path);
+  return in;
+}
+
 LoadedGraph read_snap_edge_list_file(const std::string& path,
                                      const SnapReadOptions& opts) {
-  std::ifstream in(path);
-  LGG_CHECK(in.good(), "cannot open graph file: " << path);
+  std::ifstream in = open_graph_file(path);
   return read_snap_edge_list(in, opts);
 }
 

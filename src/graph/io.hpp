@@ -7,7 +7,7 @@
 // Fig. 11 bench when present; otherwise the synthetic generators stand in.
 #pragma once
 
-#include <iosfwd>
+#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
@@ -35,12 +35,19 @@ struct SnapReadOptions {
   bool pad_to_declared_nodes = false;
 };
 
+/// Open the SNAP edge-list file at `path` (binary mode) for either loader.
+/// Throws lgg::Error naming the path when it cannot be opened or is a
+/// directory: a directory opens as a stream whose reads all fail, which
+/// would otherwise load as an empty graph or size a buffer from a bogus
+/// length.  Other non-regular files, such as pipes, open normally.
+std::ifstream open_graph_file(const std::string& path);
+
 /// Parse a SNAP edge-list stream.  Throws lgg::Error on malformed lines.
 LoadedGraph read_snap_edge_list(std::istream& in,
                                 const SnapReadOptions& opts = {});
 
 /// Parse a SNAP edge-list file.  Throws lgg::Error if the file cannot be
-/// opened or is malformed.
+/// opened (open_graph_file) or is malformed.
 LoadedGraph read_snap_edge_list_file(const std::string& path,
                                      const SnapReadOptions& opts = {});
 

@@ -753,8 +753,7 @@ IngestResult load_snap_buffer(std::string_view text,
 IngestResult load_snap_file(const std::string& path,
                             const IngestOptions& opts) {
   Stopwatch read;
-  std::ifstream in(path, std::ios::binary);
-  LGG_CHECK(in.good(), "cannot open graph file: " << path);
+  std::ifstream in = graph::open_graph_file(path);
   // Read straight into the one text buffer, sized by the file length when
   // the stream can seek; one spare byte lets the first read see EOF.
   // Inputs of unknown or growing size keep reading, doubling the buffer,

@@ -101,7 +101,8 @@ IngestResult load_snap_buffer(std::string_view text,
                               const IngestOptions& opts = {});
 
 /// Read and parse a SNAP edge-list file.  Throws lgg::Error if the file
-/// cannot be opened or is malformed.
+/// cannot be opened or is a directory (graph::open_graph_file, shared with
+/// the serial loader) or is malformed.
 IngestResult load_snap_file(const std::string& path,
                             const IngestOptions& opts = {});
 

@@ -16,11 +16,6 @@
 
 namespace lgg::lint {
 
-bool PlanReport::clean() const noexcept {
-  return std::all_of(checks.begin(), checks.end(),
-                     [](const PlanCheck& c) { return c.clean(); });
-}
-
 std::size_t PlanReport::total_findings() const noexcept {
   std::size_t n = 0;
   for (const PlanCheck& c : checks) n += c.findings.size();

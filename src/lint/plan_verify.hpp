@@ -32,7 +32,6 @@ struct PlanCheck {
 
 struct PlanReport {
   std::vector<PlanCheck> checks;
-  [[nodiscard]] bool clean() const noexcept;
   [[nodiscard]] std::size_t total_findings() const noexcept;
 };
 

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "obs/trace.hpp"  // format_number
-#include "util/error.hpp"
 
 namespace lgg::obs {
 
@@ -83,35 +82,9 @@ double Metrics::gauge_value(std::string_view name,
   return it == gauges_.end() ? 0.0 : it->second;
 }
 
-const Histogram* Metrics::histogram(std::string_view name,
-                                    std::string_view labels) const {
-  const auto it = histograms_.find(series_key(name, labels));
-  return it == histograms_.end() ? nullptr : &it->second;
-}
-
 bool Metrics::empty() const noexcept {
   return counters_.empty() && counters_f_.empty() && gauges_.empty() &&
          histograms_.empty();
-}
-
-void Metrics::merge(const Metrics& other) {
-  for (const auto& [k, v] : other.counters_) counters_[k] += v;
-  for (const auto& [k, v] : other.counters_f_) counters_f_[k] += v;
-  for (const auto& [k, v] : other.gauges_) gauges_[k] = v;
-  for (const auto& [k, v] : other.histograms_) {
-    Histogram& h = histograms_[k];
-    if (h.bounds.empty()) {
-      h = v;
-      continue;
-    }
-    LGG_CHECK(h.bounds == v.bounds,
-              "Metrics::merge: histogram bucket bounds differ");
-    if (h.count.size() != v.count.size()) h.count.resize(v.count.size(), 0);
-    for (std::size_t i = 0; i < v.count.size(); ++i) h.count[i] += v.count[i];
-    h.observations += v.observations;
-    h.sum += v.sum;
-  }
-  for (const auto& [k, v] : other.help_) help_.emplace(k, v);
 }
 
 std::string Metrics::prometheus_text() const {

@@ -71,13 +71,7 @@ class Metrics {
                                        std::string_view labels = "") const;
   [[nodiscard]] double gauge_value(std::string_view name,
                                    std::string_view labels = "") const;
-  [[nodiscard]] const Histogram* histogram(
-      std::string_view name, std::string_view labels = "") const;
   [[nodiscard]] bool empty() const noexcept;
-
-  /// Fold another registry into this one (counters add, gauges overwrite,
-  /// histograms require matching bounds).
-  void merge(const Metrics& other);
 
   /// Prometheus text exposition (sorted by family, then series).
   [[nodiscard]] std::string prometheus_text() const;

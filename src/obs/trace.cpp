@@ -37,10 +37,7 @@ std::size_t Tracer::begin(std::string name, std::string cat) {
 
 void Tracer::charge_s(double seconds) {
   if (!(seconds > 0.0)) return;  // also rejects NaN
-  charge_ns(static_cast<std::uint64_t>(std::llround(seconds * 1e9)));
-}
-
-void Tracer::charge_ns(std::uint64_t ns) {
+  const auto ns = static_cast<std::uint64_t>(std::llround(seconds * 1e9));
   if (open_.empty())
     top_cursor_ += ns;
   else

@@ -73,7 +73,6 @@ class Tracer {
   /// Advance the innermost open span's cursor (top-level cursor when no
   /// span is open) by a modelled duration.  Negative charges clamp to 0.
   void charge_s(double seconds);
-  void charge_ns(std::uint64_t ns);
 
   /// Attach an annotation to an open or closed span (no-op for kDropped).
   void arg(std::size_t id, std::string key, std::string json);

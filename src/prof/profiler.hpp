@@ -1,8 +1,9 @@
 // lgg_prof: the deterministic kernel profiler (DESIGN.md §17).
 //
 // Profiler implements gpusim::ProfilerHook: attach one to a driver
-// (GpuTriangleOptions / HybridOptions / RunnerOptions / ServeOptions all
-// carry a `prof` pointer) and every successful launch deposits a
+// (core::RunContext carries a `prof` pointer, so every driver's options
+// and resilience::RunnerOptions do; ServeOptions keeps its own) and every
+// successful launch deposits a
 // KernelProfile — modelled hardware counters, span-stack attribution,
 // per-SM occupancy rows and derived roofline/bandwidth metrics.
 // core::launch calls the hook host-serially with the launch's final

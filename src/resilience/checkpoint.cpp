@@ -14,7 +14,7 @@ namespace lgg::resilience {
 
 namespace {
 
-constexpr CheckpointFormat kRunnerFormat{"lggckpt", 1, "checkpoint"};
+constexpr CheckpointFormat kRunnerFormat{"lggckpt", 2, "checkpoint"};
 
 /// The trailer's separator from the body; rfind locates the trailer.
 constexpr std::string_view kTrailer = "\ndigest ";
@@ -239,14 +239,14 @@ void write_file_atomic(const std::string& path, const std::string& content) {
 // ------------------------------------------------------------- fault state
 
 void write_fault_state(CheckpointWriter& w, const FaultInjector::State& s) {
-  w.put(s.draws, s.counts, s.replay_cursor, s.events.size());
+  w.put(s.draws, s.counts, s.events.size());
   for (const FaultEvent& e : s.events)
     w.line("fe", static_cast<std::uint64_t>(e.site), e.draw, e.detail);
 }
 
 FaultInjector::State read_fault_state(CheckpointReader& r) {
   FaultInjector::State s;
-  r.get(s.draws, s.counts, s.replay_cursor);
+  r.get(s.draws, s.counts);
   s.events.resize(r.count());
   for (FaultEvent& e : s.events) {
     std::uint64_t site = 0;

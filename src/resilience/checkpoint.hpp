@@ -3,7 +3,7 @@
 // A Checkpoint freezes everything a resumed process needs to finish a
 // chunked run byte-identically to an uninterrupted one: the completed
 // ChunkRecords and report accumulators, the deterministic log prefix, the
-// fault injector's draw/replay position, and — when the run traces — the
+// fault injector's draw position, and — when the run traces — the
 // full observability state (span tree with its open-frame stack, metrics
 // registry).  The file is a line-based text format with a version magic
 // and an FNV-1a digest trailer; saves go through write-to-temp + rename
@@ -257,8 +257,8 @@ class CheckpointReader {
 /// lgg::Error on I/O failure.
 void write_file_atomic(const std::string& path, const std::string& content);
 
-/// The fault injector's position: the draws, counts and replay cursors of
-/// every site and the event count end the current line, then one
+/// The fault injector's position: the draws and counts of every site and
+/// the event count end the current line, then one
 /// "fe <site> <draw> <detail>" line follows per recorded event.
 void write_fault_state(CheckpointWriter& w, const FaultInjector::State& s);
 [[nodiscard]] FaultInjector::State read_fault_state(CheckpointReader& r);

@@ -1,8 +1,5 @@
 #include "resilience/fault.hpp"
 
-#include <ostream>
-
-#include "util/error.hpp"
 #include "util/prng.hpp"
 
 namespace lgg::resilience {
@@ -24,41 +21,22 @@ double FaultRates::rate(gpusim::FaultSite site) const noexcept {
 FaultInjector::FaultInjector(std::uint64_t seed, const FaultRates& rates)
     : seed_(seed), rates_(rates) {}
 
-FaultInjector::FaultInjector(const FaultPlan& plan)
-    : seed_(plan.seed), rates_(plan.rates), replay_(true) {
-  for (const FaultEvent& e : plan.events) {
-    auto& draws = replay_draws_[static_cast<std::size_t>(e.site)];
-    LGG_CHECK(draws.empty() || draws.back() < e.draw,
-              "FaultPlan events must be in increasing draw order per site");
-    draws.push_back(e.draw);
-  }
-}
-
 bool FaultInjector::decide(gpusim::FaultSite site, std::uint64_t detail) {
   const auto idx = static_cast<std::size_t>(site);
   const std::uint64_t draw = draws_[idx]++;
   bool fire = false;
-  if (replay_) {
-    const auto& planned = replay_draws_[idx];
-    std::size_t& cursor = replay_cursor_[idx];
-    if (cursor < planned.size() && planned[cursor] == draw) {
-      fire = true;
-      ++cursor;
-    }
-  } else {
-    const double r = rates_.rate(site);
-    if (r >= 1.0) {
-      fire = true;
-    } else if (r > 0.0) {
-      // Stateless decision: hash (seed, site, draw).  Two SplitMix64
-      // passes decorrelate consecutive draws; >> 11 keeps 53 uniform
-      // bits, the uniform01 construction used throughout the repo.
-      const std::uint64_t base =
-          SplitMix64(seed_ ^ (0xA0761D6478BD642Full * (idx + 1))).next();
-      const std::uint64_t bits = SplitMix64(base ^ draw).next();
-      const double u = static_cast<double>(bits >> 11) * 0x1.0p-53;
-      fire = u < r;
-    }
+  const double r = rates_.rate(site);
+  if (r >= 1.0) {
+    fire = true;
+  } else if (r > 0.0) {
+    // Stateless decision: hash (seed, site, draw).  Two SplitMix64 passes
+    // decorrelate consecutive draws; >> 11 keeps 53 uniform bits, the
+    // uniform01 construction used throughout the repo.
+    const std::uint64_t base =
+        SplitMix64(seed_ ^ (0xA0761D6478BD642Full * (idx + 1))).next();
+    const std::uint64_t bits = SplitMix64(base ^ draw).next();
+    const double u = static_cast<double>(bits >> 11) * 0x1.0p-53;
+    fire = u < r;
   }
   if (fire) {
     ++counts_[idx];
@@ -84,32 +62,14 @@ bool FaultInjector::on_transfer(std::uint64_t bytes) {
   return decide(gpusim::FaultSite::kTransfer, bytes);
 }
 
-FaultPlan FaultInjector::plan() const { return {seed_, rates_, events_}; }
-
 FaultInjector::State FaultInjector::state() const {
-  State s;
-  s.draws = draws_;
-  s.counts = counts_;
-  for (std::size_t i = 0; i < gpusim::kNumFaultSites; ++i)
-    s.replay_cursor[i] = replay_cursor_[i];
-  s.events = events_;
-  return s;
+  return {draws_, counts_, events_};
 }
 
 void FaultInjector::restore_state(const State& s) {
   draws_ = s.draws;
   counts_ = s.counts;
-  for (std::size_t i = 0; i < gpusim::kNumFaultSites; ++i) {
-    replay_cursor_[i] = static_cast<std::size_t>(s.replay_cursor[i]);
-    LGG_CHECK(!replay_ || replay_cursor_[i] <= replay_draws_[i].size(),
-              "FaultInjector::restore_state: replay cursor out of range");
-  }
   events_ = s.events;
-}
-
-std::ostream& operator<<(std::ostream& os, const FaultEvent& e) {
-  return os << gpusim::fault_site_name(e.site) << "@" << e.draw << "("
-            << e.detail << ")";
 }
 
 }  // namespace lgg::resilience

@@ -6,13 +6,13 @@
 // against the configured per-site rate.  Because gpusim consults hooks
 // only from host-serial code, the draw sequence — and therefore the whole
 // fault pattern — is a function of the workload and the seed alone:
-// independent of the host thread count, reproducible across runs, and
-// replayable from the recorded (seed, rates, events) FaultPlan.
+// independent of the host thread count and reproducible from (seed,
+// rates).  resilience::run_resilient is its one consumer: the
+// runner installs it on each attempt's DeviceMemory and Simulator.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "gpusim/executor.hpp"
@@ -39,7 +39,7 @@ struct FaultRates {
 
 /// One injected fault: site s fired at its draw-th consultation.  `detail`
 /// is the byte count (alloc/transfer) or SM index (sm-abort); 0 for
-/// launch.  (site, draw) alone identifies the fault for replay.
+/// launch.
 struct FaultEvent {
   gpusim::FaultSite site = gpusim::FaultSite::kAlloc;
   std::uint64_t draw = 0;
@@ -48,26 +48,12 @@ struct FaultEvent {
   friend bool operator==(const FaultEvent&, const FaultEvent&) = default;
 };
 
-/// Everything needed to reproduce a faulty run: re-running the same
-/// workload with FaultInjector(plan.seed, plan.rates) regenerates exactly
-/// plan.events, and FaultInjector(plan) replays the events with no
-/// randomness at all (e.g. against a build where the hash changed).
-struct FaultPlan {
-  std::uint64_t seed = 0;
-  FaultRates rates;
-  std::vector<FaultEvent> events;
-};
-
 class FaultInjector final : public gpusim::FaultHook {
  public:
-  /// Random mode: decisions are hashes of (seed, site, draw) against
-  /// `rates`; every fired fault is recorded.
+  /// Decisions are hashes of (seed, site, draw) against `rates`; every
+  /// fired fault is recorded.  Re-running a workload on a fresh injector
+  /// with the same (seed, rates) fires exactly the same events.
   FaultInjector(std::uint64_t seed, const FaultRates& rates);
-
-  /// Replay mode: fire exactly at the (site, draw) pairs of plan.events,
-  /// ignoring rates.  Events must be in increasing draw order per site
-  /// (the order a random-mode run records them in).
-  explicit FaultInjector(const FaultPlan& plan);
 
   bool on_alloc(std::uint64_t bytes) override;
   bool on_launch(const gpusim::KernelConfig& config) override;
@@ -93,20 +79,14 @@ class FaultInjector final : public gpusim::FaultHook {
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
   [[nodiscard]] const FaultRates& rates() const noexcept { return rates_; }
 
-  /// Snapshot (seed, rates, events) — feed back into the replay
-  /// constructor to reproduce this exact fault pattern.
-  [[nodiscard]] FaultPlan plan() const;
-
   /// Mid-run injector position for checkpoint/restart (DESIGN.md §16):
-  /// per-site draw/fire counters, the fired-event log, and the replay
-  /// cursors.  Restoring it onto an injector built with the same
-  /// seed/rates (or plan) makes the continuation's draw sequence — and
-  /// therefore the whole fault pattern — identical to an uninterrupted
-  /// run's.
+  /// per-site draw/fire counters and the fired-event log.  Restoring it
+  /// onto an injector built with the same seed/rates makes the
+  /// continuation's draw sequence — and therefore the whole fault
+  /// pattern — identical to an uninterrupted run's.
   struct State {
     std::array<std::uint64_t, gpusim::kNumFaultSites> draws{};
     std::array<std::uint64_t, gpusim::kNumFaultSites> counts{};
-    std::array<std::uint64_t, gpusim::kNumFaultSites> replay_cursor{};
     std::vector<FaultEvent> events;
   };
   [[nodiscard]] State state() const;
@@ -117,14 +97,9 @@ class FaultInjector final : public gpusim::FaultHook {
 
   std::uint64_t seed_ = 0;
   FaultRates rates_;
-  bool replay_ = false;
   std::array<std::uint64_t, gpusim::kNumFaultSites> draws_{};
   std::array<std::uint64_t, gpusim::kNumFaultSites> counts_{};
   std::vector<FaultEvent> events_;
-  std::array<std::vector<std::uint64_t>, gpusim::kNumFaultSites> replay_draws_;
-  std::array<std::size_t, gpusim::kNumFaultSites> replay_cursor_{};
 };
-
-std::ostream& operator<<(std::ostream& os, const FaultEvent& e);
 
 }  // namespace lgg::resilience

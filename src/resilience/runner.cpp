@@ -202,16 +202,14 @@ RunnerReport run_impl(const graph::Graph& g, const RunnerOptions& opts,
   // final schedule repair.
   const sched::Assignment planned = sched::lpt_schedule(test_sizes, dev.sm_count);
 
-  // Options for the chunk kernel launches (the sim/mem pair is created
-  // fresh per attempt; the faults hook rides on those, not on `inner`).
+  // Options for the chunk kernel launches: the runner's RunContext plus
+  // the launch shape (the sim/mem pair is created fresh per attempt; the
+  // fault injector rides on those, not on `inner`).
   core::HybridOptions inner;
+  static_cast<core::RunContext&>(inner) = opts;
   inner.device = &dev;
   inner.metric = opts.metric;
   inner.threads_per_block = tpb;
-  inner.exec = opts.exec;
-  inner.sancheck = opts.sancheck;
-  inner.obs = opts.obs;
-  inner.prof = opts.prof;
 
   RunnerReport report;
   report.exact = true;

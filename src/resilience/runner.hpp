@@ -36,7 +36,6 @@
 #include "gpusim/report.hpp"
 #include "graph/graph.hpp"
 #include "resilience/fault.hpp"
-#include "sancheck/sancheck.hpp"
 #include "sched/makespan.hpp"
 
 namespace lgg::resilience {
@@ -75,18 +74,23 @@ struct RetryPolicy {
   [[nodiscard]] double backoff_s(std::uint32_t retry) const noexcept;
 };
 
-struct RunnerOptions {
+/// The RunContext base carries the host ExecPolicy (the report is
+/// bit-identical across policies, including the fault pattern and the
+/// log), the sancheck mode, the observability session and the profiler,
+/// all forwarded to every chunk kernel launch.  The session adds
+/// chunk/retry/failover/schedule spans and resilience counters
+/// (DESIGN.md §12); launches of retried or discarded attempts are
+/// profiled too, since the attempt sequence is deterministic.  The
+/// profiler is not part of the checkpoint fingerprint.
+struct RunnerOptions : core::RunContext {
   /// Device to simulate; nullptr selects the paper's C1060.
   const gpusim::DeviceSpec* device = nullptr;
   graph::SizeMetric metric = graph::SizeMetric::kSutm;
   std::uint32_t threads_per_block = 128;
   core::SchedulerKind scheduler = core::SchedulerKind::kLpt;
-  /// Host-side simulator execution policy (report is bit-identical
-  /// across policies, including the fault pattern and the log).
-  gpusim::ExecPolicy exec;
-  sancheck::SancheckMode sancheck = sancheck::SancheckMode::kOff;
-  /// Fault injector (non-owning); nullptr runs fault-free (the runner
-  /// then degenerates to a verified hybrid run).
+  /// Fault injector (non-owning), installed on every attempt's
+  /// DeviceMemory and Simulator; nullptr runs fault-free (the runner then
+  /// degenerates to a verified hybrid run).
   FaultInjector* faults = nullptr;
   RetryPolicy retry;
   Failover failover = Failover::kCpu;
@@ -97,17 +101,6 @@ struct RunnerOptions {
   /// Streaming failover batch size, in tests per batch (bounds the
   /// working set of the kStream path).
   std::uint64_t stream_batch_tests = 1u << 16;
-  /// Optional observability session: chunk/retry/failover/schedule spans
-  /// plus resilience counters (DESIGN.md §12).  Forwarded to the chunk
-  /// kernel launches, which contribute their own launch spans and gpusim
-  /// counters.  Spans and metrics are byte-identical across ExecPolicies,
-  /// like the log.
-  obs::Session* obs = nullptr;
-  /// Optional profiler hook (non-owning), forwarded to every chunk kernel
-  /// launch (DESIGN.md §17).  Launches of retried / discarded attempts
-  /// are profiled too — the attempt sequence is deterministic, so the
-  /// profile stream still is.  Not part of the checkpoint fingerprint.
-  gpusim::ProfilerHook* prof = nullptr;
   /// Optional precomputed Algorithm 1 plan (non-owning; see
   /// core::precompute_als).  When set, the runner skips chunking / level
   /// decomposition / per-chunk ALS work and charges ZERO modelled
@@ -156,7 +149,7 @@ struct ChunkRecord {
   std::uint64_t recounted_tests = 0;
 };
 
-/// Whole-run recovery totals.  by_site matches the injector's FaultPlan
+/// Whole-run recovery totals.  by_site matches the injector's events
 /// restricted to this run (the acceptance invariant the resilience tests
 /// pin down).
 struct RecoveryStats {

@@ -89,11 +89,4 @@ ResidentGraph* Catalog::find(const std::string& name) {
   return it == graphs_.end() ? nullptr : &it->second;
 }
 
-std::vector<std::string> Catalog::names() const {
-  std::vector<std::string> out;
-  out.reserve(graphs_.size());
-  for (const auto& [name, entry] : graphs_) out.push_back(name);
-  return out;
-}
-
 }  // namespace lgg::serve

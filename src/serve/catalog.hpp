@@ -90,9 +90,6 @@ class Catalog {
 
   [[nodiscard]] std::size_t size() const noexcept { return graphs_.size(); }
 
-  /// Resident names, ascending.
-  [[nodiscard]] std::vector<std::string> names() const;
-
   [[nodiscard]] const CatalogOptions& options() const noexcept {
     return opts_;
   }

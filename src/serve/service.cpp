@@ -529,7 +529,7 @@ void Service::restore_state(const ServeState& s) {
 
 namespace {
 
-constexpr resilience::CheckpointFormat kServeFormat{"lggsrvckpt", 1,
+constexpr resilience::CheckpointFormat kServeFormat{"lggsrvckpt", 2,
                                                     "serve checkpoint"};
 
 }  // namespace

@@ -1,6 +1,5 @@
-// Small bit-manipulation helpers used by the bit-packed adjacency
-// representations (graph::BitMatrix, graph::SutMatrix) and the gpusim
-// address arithmetic.
+// Small bit-manipulation helpers used by the bit-packed adjacency matrix
+// (graph::BitMatrix) and the gpusim address arithmetic.
 #pragma once
 
 #include <bit>

@@ -68,30 +68,6 @@ void TextTable::print(std::ostream& os) const {
   for (const auto& row : rows_) emit_row(row);
 }
 
-void TextTable::print_csv(std::ostream& os) const {
-  auto emit_cell = [&](const std::string& cell) {
-    if (cell.find_first_of(",\"\n") != std::string::npos) {
-      os << '"';
-      for (char ch : cell) {
-        if (ch == '"') os << '"';
-        os << ch;
-      }
-      os << '"';
-    } else {
-      os << cell;
-    }
-  };
-  auto emit_row = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) os << ',';
-      emit_cell(row[c]);
-    }
-    os << '\n';
-  };
-  emit_row(header_);
-  for (const auto& row : rows_) emit_row(row);
-}
-
 std::string format_bytes(std::uint64_t bytes) {
   static constexpr const char* kUnits[] = {"B", "KiB", "MiB", "GiB", "TiB"};
   double value = static_cast<double>(bytes);

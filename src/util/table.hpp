@@ -1,8 +1,7 @@
-// Plain-text table and CSV emission for the benchmark harnesses.
+// Plain-text tables for the benchmark harnesses.
 //
 // Every bench binary prints the rows/series of one paper table or figure.
-// TextTable renders aligned monospace tables (like the paper's tables);
-// it can also dump the same data as CSV for external plotting.
+// TextTable renders aligned monospace tables (like the paper's tables).
 #pragma once
 
 #include <iosfwd>
@@ -29,9 +28,6 @@ class TextTable {
 
   /// Render as an aligned monospace table with a rule under the header.
   void print(std::ostream& os) const;
-
-  /// Render as CSV (RFC-4180-ish; cells containing commas are quoted).
-  void print_csv(std::ostream& os) const;
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
 

@@ -18,15 +18,15 @@ constexpr std::uint64_t kC67_33 = 14226520737620288370ull;
 
 std::vector<std::uint32_t> unrank(std::uint64_t index, std::uint32_t n,
                                   std::uint32_t k) {
-  return combination_from_index(index, n, k);
+  std::vector<std::uint32_t> out(k);
+  combination_from_index(index, n, k, out);
+  return out;
 }
 
 TEST(BinomialBoundary, LargestRepresentableCentralCoefficient) {
   EXPECT_EQ(binomial(67, 33), kC67_33);
   EXPECT_EQ(binomial(67, 34), kC67_33);  // symmetry
   EXPECT_EQ(binomial(68, 34), kBinomialOverflow);
-  EXPECT_EQ(binomial_checked(67, 33), std::optional<std::uint64_t>(kC67_33));
-  EXPECT_EQ(binomial_checked(68, 34), std::nullopt);
 }
 
 TEST(BinomialBoundary, PrecomputedStorageSaturates) {

@@ -279,6 +279,30 @@ TEST(IngestFile, FileEqualsBufferOnTheSameBytes) {
   }
 }
 
+TEST(IngestFile, DirectoryIsRefusedByBothLoaders) {
+  // A directory opens as a stream whose reads all fail.  Both loaders
+  // refuse it with the same message naming the path, instead of loading an
+  // empty graph or sizing a buffer from the stream's length.
+  const util::TempPath dir = util::TempPath::dir("lgg-ingest");
+  const std::string want = "graph file is a directory: " + dir.path();
+  const auto error = [](const auto& load) {
+    try {
+      load();
+    } catch (const lgg::Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(error([&] { (void)graph::read_snap_edge_list_file(dir.path()); }),
+            want);
+  for (const std::size_t threads : {1, 4}) {
+    IngestOptions opts;
+    opts.threads = threads;
+    EXPECT_EQ(error([&] { (void)load_snap_file(dir.path(), opts); }), want)
+        << "threads " << threads;
+  }
+}
+
 TEST(IngestFile, ReadsAStreamOfUnknownSizeToEof) {
   // A FIFO cannot seek, so the reader has no size hint and must grow its
   // buffer until EOF.

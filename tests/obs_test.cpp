@@ -313,22 +313,5 @@ TEST(Exporters, PrometheusCountersSortedWithLabels) {
   EXPECT_NE(text.find("# HELP lgg_a_total a help line"), std::string::npos);
 }
 
-TEST(Metrics, MergeAddsCountersAndHistograms) {
-  obs::Metrics a, b;
-  const std::array<double, 1> bounds = {1.0};
-  a.count("lgg_x_total", 1);
-  b.count("lgg_x_total", 2);
-  b.count("lgg_y_total", 7);
-  a.observe("lgg_h", 0.5, bounds);
-  b.observe("lgg_h", 3.0, bounds);
-  a.merge(b);
-  EXPECT_EQ(a.counter_value("lgg_x_total"), 3u);
-  EXPECT_EQ(a.counter_value("lgg_y_total"), 7u);
-  const auto* h = a.histogram("lgg_h");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->observations, 2u);
-  EXPECT_DOUBLE_EQ(h->sum, 3.5);
-}
-
 }  // namespace
 }  // namespace lgg

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "gpusim/occupancy.hpp"
 #include "util/error.hpp"
 
@@ -60,9 +62,19 @@ TEST(Occupancy, ImpossibleKernelThrows) {
 }
 
 TEST(Occupancy, LimiterNames) {
-  EXPECT_STREQ(to_string(OccupancyLimiter::kWarpSlots), "warp slots");
-  EXPECT_STREQ(to_string(OccupancyLimiter::kRegisters), "registers");
-  EXPECT_STREQ(to_string(OccupancyLimiter::kSharedMemory), "shared memory");
+  // The launch error names the resource that admits no block.
+  const auto error = [](const KernelResources& r) {
+    try {
+      (void)occupancy(tesla_c1060(), r);
+    } catch (const lgg::Error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  EXPECT_NE(error(res(2048, 1, 0)).find("warp slots"), std::string::npos);
+  EXPECT_NE(error(res(512, 124, 0)).find("registers"), std::string::npos);
+  EXPECT_NE(error(res(128, 8, 32 * 1024)).find("shared memory"),
+            std::string::npos);
 }
 
 TEST(Occupancy, MonotoneInRegisters) {

@@ -258,14 +258,14 @@ TEST(ProfExports, MetricsAggregateAndTracksRender) {
 TEST(ProfFlamegraph, SelfTimeExcludesChildren) {
   obs::Tracer t;
   const std::size_t root = t.begin("root", "test");
-  t.charge_ns(100);
+  t.charge_s(100e-9);
   const std::size_t c1 = t.begin("child", "test");
-  t.charge_ns(40);
+  t.charge_s(40e-9);
   t.end(c1);
   const std::size_t c2 = t.begin("child", "test");  // same stack: aggregates
-  t.charge_ns(10);
+  t.charge_s(10e-9);
   t.end(c2);
-  t.charge_ns(50);
+  t.charge_s(50e-9);
   t.end(root);
   const std::string flame = prof::flamegraph_text(t);
   EXPECT_EQ(flame, "root 150\nroot;child 50\n");
@@ -335,7 +335,7 @@ TEST(ProfObs, SpanCapDropsAreObservable) {
   obs::Tracer t;
   t.set_span_cap(1);
   const std::size_t kept = t.begin("kept", "test");
-  t.charge_ns(10);
+  t.charge_s(10e-9);
   const std::size_t lost = t.begin("dropped", "test");
   t.end(lost);
   t.end(kept);

@@ -208,19 +208,6 @@ TEST(KernelReport, RescaleRederivesCounterComplements) {
   expect_counter_invariants(r, c);
 }
 
-TEST(RunReport, StreamOperator) {
-  RunReport r;
-  r.host_to_device = {1 << 20, 0.001};
-  r.kernels = 3;
-  r.kernel_time_s = 0.5;
-  r.total_time_s = 0.75;
-  r.mean_camping_factor = 1.1;
-  std::ostringstream os;
-  os << r;
-  EXPECT_NE(os.str().find("3 kernel(s)"), std::string::npos);
-  EXPECT_NE(os.str().find("1.00 MiB"), std::string::npos);
-}
-
 TEST(Calibration, ConstantsAreSane) {
   namespace cal = calibration;
   // The calibration must stay physically plausible; these bounds guard

@@ -1,8 +1,9 @@
 // Tests for the fault-injection framework and the resilient chunked
-// runner (DESIGN.md §11): injector determinism and replay, DeviceFault
-// surfacing through every GPU driver, exact recovery under sustained
-// fault rates, FaultPlan/RecoveryStats accounting, log byte-identity
-// across host thread counts, and the three failover policies.
+// runner (DESIGN.md §11): injector determinism, DeviceFault surfacing
+// from a faulted DeviceMemory and Simulator, exact recovery under
+// sustained fault rates, injector/RecoveryStats accounting, log
+// byte-identity across host thread counts, and the three failover
+// policies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +21,6 @@ using namespace lgg;
 using gpusim::DeviceFault;
 using gpusim::FaultSite;
 using resilience::FaultInjector;
-using resilience::FaultPlan;
 using resilience::FaultRates;
 using resilience::Failover;
 
@@ -114,84 +114,62 @@ TEST(FaultInjector, RateIsApproximatelyHonoured) {
 }
 
 TEST(FaultInjector, ReplayReproducesRandomRun) {
+  // Replaying the same consultations on a fresh injector with the same
+  // (seed, rates) regenerates exactly the recorded events.
   const gpusim::KernelConfig config{};
-  FaultInjector random(31337, FaultRates::uniform(0.25));
-  for (int i = 0; i < 300; ++i) {
-    random.on_alloc(static_cast<std::uint64_t>(i));
-    random.on_launch(config);
-    random.on_transfer(static_cast<std::uint64_t>(2 * i));
-  }
-  const FaultPlan plan = random.plan();
-  ASSERT_GT(plan.events.size(), 0u);
-
-  FaultInjector replay(plan);
-  for (int i = 0; i < 300; ++i) {
-    replay.on_alloc(static_cast<std::uint64_t>(i));
-    replay.on_launch(config);
-    replay.on_transfer(static_cast<std::uint64_t>(2 * i));
-  }
-  EXPECT_EQ(replay.events(), plan.events);
-  // And a fresh random injector from the same (seed, rates) regenerates
-  // the identical plan.
-  FaultInjector again(plan.seed, plan.rates);
-  for (int i = 0; i < 300; ++i) {
-    again.on_alloc(static_cast<std::uint64_t>(i));
-    again.on_launch(config);
-    again.on_transfer(static_cast<std::uint64_t>(2 * i));
-  }
-  EXPECT_EQ(again.events(), plan.events);
+  const auto run = [&] {
+    FaultInjector inj(31337, FaultRates::uniform(0.25));
+    for (int i = 0; i < 300; ++i) {
+      inj.on_alloc(static_cast<std::uint64_t>(i));
+      inj.on_launch(config);
+      inj.on_transfer(static_cast<std::uint64_t>(2 * i));
+    }
+    return inj.events();
+  };
+  const std::vector<resilience::FaultEvent> first = run();
+  ASSERT_GT(first.size(), 0u);
+  EXPECT_EQ(run(), first);
 }
 
-// -------------------------------------------------- faults reach all drivers
+// ------------------------------- faults surface from DeviceMemory/Simulator
 
-TEST(FaultDrivers, LaunchFaultSurfacesInEveryGpuDriver) {
+// The resilient runner is the one consumer of the fault hook: it builds
+// each attempt's DeviceMemory and Simulator with its injector.  These
+// build the pair the same way.
+
+TEST(FaultDrivers, LaunchFaultSurfacesFromSimulator) {
   const graph::Graph g = graph::complete(12);
-  const FaultRates launch_only{0.0, 1.0, 0.0, 0.0};
-
-  {
-    FaultInjector inj(1, launch_only);
-    core::GpuTriangleOptions opts;
-    opts.faults = &inj;
-    EXPECT_THROW(core::count_triangles_gpu(g, opts), DeviceFault);
+  const core::AlsPrecomputed plan = core::precompute_als(g);
+  ASSERT_FALSE(plan.works.empty());
+  ASSERT_GT(plan.works[0].tests, 0u);
+  const gpusim::DeviceSpec& dev = gpusim::tesla_c1060();
+  FaultInjector inj(1, FaultRates{0.0, 1.0, 0.0, 0.0});
+  gpusim::DeviceMemory mem(dev, &inj);
+  const gpusim::Simulator sim(dev, &inj);
+  try {
+    (void)core::run_chunk_kernel(g, plan.chunking.chunks[0], plan.works[0],
+                                 sim, mem, core::HybridOptions{});
+    FAIL() << "expected DeviceFault";
+  } catch (const DeviceFault& e) {
+    EXPECT_EQ(e.site(), FaultSite::kLaunch);
+    EXPECT_NE(std::string(e.what()).find("injected fault: launch of"),
+              std::string::npos)
+        << e.what();
   }
-  {
-    FaultInjector inj(1, launch_only);
-    core::GpuIntersectOptions opts;
-    opts.faults = &inj;
-    EXPECT_THROW(core::count_triangles_gpu_intersect(g, opts), DeviceFault);
-  }
-  {
-    FaultInjector inj(1, launch_only);
-    core::GpuKCountOptions opts;
-    opts.faults = &inj;
-    EXPECT_THROW(core::count_kcliques_gpu(g, 3, opts), DeviceFault);
-  }
-  {
-    FaultInjector inj(1, launch_only);
-    core::GpuBfsOptions opts;
-    opts.faults = &inj;
-    EXPECT_THROW(core::bfs_gpu(g, 0, opts), DeviceFault);
-  }
-  {
-    FaultInjector inj(1, launch_only);
-    core::HybridOptions opts;
-    opts.faults = &inj;
-    EXPECT_THROW(core::count_triangles_hybrid(g, opts), DeviceFault);
-  }
+  EXPECT_EQ(inj.count(FaultSite::kLaunch), 1u);
 }
 
 TEST(FaultDrivers, AllocFaultSurfacesAsDeviceFault) {
-  const graph::Graph g = graph::complete(12);
   FaultInjector inj(1, FaultRates{1.0, 0.0, 0.0, 0.0});
-  core::GpuTriangleOptions opts;
-  opts.faults = &inj;
+  gpusim::DeviceMemory mem(gpusim::tesla_c1060(), &inj);
   try {
-    core::count_triangles_gpu(g, opts);
+    (void)mem.alloc(4096);
     FAIL() << "expected DeviceFault";
   } catch (const DeviceFault& e) {
     EXPECT_EQ(e.site(), FaultSite::kAlloc);
     EXPECT_NE(std::string(e.what()).find("injected"), std::string::npos);
   }
+  EXPECT_EQ(inj.count(FaultSite::kAlloc), 1u);
 }
 
 TEST(FaultDrivers, NullHookIsFaultFree) {
@@ -707,7 +685,7 @@ TEST(CheckpointDecode, CraftedLengthsAndIntegersAreCorrupt) {
   ASSERT_EQ(resilience::encode_checkpoint(resilience::decode_checkpoint(text)),
             text);
 
-  constexpr std::size_t kFeCount = 3 + 3 * gpusim::kNumFaultSites;
+  constexpr std::size_t kFeCount = 3 + 2 * gpusim::kNumFaultSites;
   resilience::expect_all_corrupt(
       text,
       {
@@ -729,6 +707,33 @@ TEST(CheckpointDecode, CraftedLengthsAndIntegersAreCorrupt) {
           {"acc", 1, "18446744073709551616 1 0 0 0 0"},
       },
       [](const std::string& t) { return resilience::decode_checkpoint(t); });
+}
+
+TEST(CheckpointDecode, VersionOneIsRefusedAsVersion) {
+  resilience::Checkpoint c;
+  c.n_chunks = 1;
+  c.has_faults = true;
+  c.fault_seed = 7;
+  c.faults.events.push_back(
+      resilience::FaultEvent{FaultSite::kLaunch, 3, 0});
+  const std::string v2 = resilience::encode_checkpoint(c);
+  ASSERT_EQ(resilience::decode_checkpoint(v2).faults.events, c.faults.events);
+  // A version-1 body, digest intact: its fault-state line also held one
+  // replay cursor per site before the event count.
+  const std::string v1 = resilience::resealed(
+      resilience::resealed(
+          v2, {"fau", 3 + 2 * gpusim::kNumFaultSites, "0 0 0 0 1"}),
+      {"lggckpt", 1, "1"});
+  try {
+    (void)resilience::decode_checkpoint(v1);
+    FAIL() << "version-1 checkpoint was accepted";
+  } catch (const resilience::CheckpointError& e) {
+    EXPECT_EQ(e.kind(), resilience::CheckpointError::Kind::kVersion)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("format version 1 (expected 2)"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ----------------------------------------------------------- fault campaign

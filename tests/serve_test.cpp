@@ -615,7 +615,7 @@ TEST(ServeState, EncodeDecodeRoundTripAndTamperRejection) {
 
 TEST(ServeState, CraftedLengthsAndIntegersAreCorrupt) {
   const std::string text = serve::encode_serve_state(sample_serve_state());
-  constexpr std::size_t kFeCount = 1 + 3 * gpusim::kNumFaultSites;
+  constexpr std::size_t kFeCount = 1 + 2 * gpusim::kNumFaultSites;
   resilience::expect_all_corrupt(
       text,
       {
@@ -628,6 +628,26 @@ TEST(ServeState, CraftedLengthsAndIntegersAreCorrupt) {
           {"e", 3, "-1 2 triangles=9"},
       },
       [](const std::string& t) { return serve::decode_serve_state(t); });
+}
+
+TEST(ServeState, VersionOneIsRefusedAsVersion) {
+  const std::string v2 = serve::encode_serve_state(sample_serve_state());
+  // A version-1 body, digest intact: its fault-state line also held one
+  // replay cursor per site before the event count.
+  const std::string v1 = resilience::resealed(
+      resilience::resealed(
+          v2, {"fst", 1 + 2 * gpusim::kNumFaultSites, "0 0 0 0 1"}),
+      {"lggsrvckpt", 1, "1"});
+  try {
+    (void)serve::decode_serve_state(v1);
+    FAIL() << "version-1 serve checkpoint was accepted";
+  } catch (const resilience::CheckpointError& e) {
+    EXPECT_EQ(e.kind(), resilience::CheckpointError::Kind::kVersion)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("format version 1 (expected 2)"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(CheckpointPinned, FingerprintsDigestsAndServeBytesAreStable) {
@@ -648,7 +668,7 @@ TEST(CheckpointPinned, FingerprintsDigestsAndServeBytesAreStable) {
   EXPECT_EQ(resilience::plan_digest_of({0, 3, 45, 1ull << 33, 7}),
             0xb86ef6c47134df6bu);
   EXPECT_EQ(serve::encode_serve_state(sample_serve_state()),
-            "lggsrvckpt 1\n"
+            "lggsrvckpt 2\n"
             "id 17\n"
             "drain 3\n"
             "log req%20id=0%20tenant=a%20graph=g%20query=\"triangles\"%20"
@@ -657,9 +677,9 @@ TEST(CheckpointPinned, FingerprintsDigestsAndServeBytesAreStable) {
             "e 000000001234abcd triangles 0 2 "
             "triangles=9%20backend=resilient\n"
             "fau 1\n"
-            "fst 4 3 2 1 1 0 0 0 0 0 0 0 1\n"
+            "fst 4 3 2 1 1 0 0 0 1\n"
             "fe 0 2 64\n"
-            "digest f8d36c4d1734cdf3\n");
+            "digest 26e23bf990f3553e\n");
 }
 
 TEST(ServeState, ServiceRestoreReproducesCacheAndLogBehavior) {
@@ -757,9 +777,10 @@ struct DrainOutcome {
   friend bool operator==(const DrainOutcome&, const DrainOutcome&) = default;
 };
 
+/// The memos of make_catalog()'s three graphs, in name order.
 std::string render_memos(serve::Catalog& catalog) {
   std::string out;
-  for (const std::string& name : catalog.names()) {
+  for (const std::string name : {"g0", "g1", "g2"}) {
     const serve::ResidentGraph& rg = *catalog.find(name);
     out += name + " bfs";
     for (const auto& [source, summary] : rg.bfs_memo)

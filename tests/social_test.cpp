@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+
 #include "core/social.hpp"
 #include "graph/generators.hpp"
 #include "util/error.hpp"
@@ -10,14 +13,30 @@ namespace {
 using graph::Graph;
 using graph::Vertex;
 
+/// Common neighbours of u and v by sorted-list intersection (the oracle).
+std::uint64_t common_neighbors(const Graph& g, Vertex u, Vertex v) {
+  const auto a = g.neighbors(u);
+  const auto b = g.neighbors(v);
+  std::vector<Vertex> both;
+  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                        std::back_inserter(both));
+  return both.size();
+}
+
 TEST(CommonNeighbors, Basics) {
-  // 0 and 1 share neighbours 2 and 3.
+  // 0 and 1 share neighbours 2 and 3, and so do 2 and 3: each pair's
+  // friend suggestion carries its common-neighbour count.
   const Graph g = Graph::from_edges(
       4, std::vector<graph::Edge>{{0, 2}, {0, 3}, {1, 2}, {1, 3}});
-  EXPECT_EQ(common_neighbors(g, 0, 1), 2u);
-  EXPECT_EQ(common_neighbors(g, 2, 3), 2u);
+  for (const auto& [v, want] : {std::pair<Vertex, Vertex>{0, 1}, {2, 3}}) {
+    const auto s = suggest_friends(g, v);
+    ASSERT_EQ(s.size(), 1u) << v;
+    EXPECT_EQ(s[0].candidate, want);
+    EXPECT_EQ(s[0].mutual_friends, 2u);
+    EXPECT_EQ(s[0].mutual_friends, common_neighbors(g, v, want));
+  }
   EXPECT_EQ(common_neighbors(g, 0, 2), 0u);
-  EXPECT_THROW(common_neighbors(g, 0, 9), lgg::Error);
+  EXPECT_THROW(suggest_friends(g, 9), lgg::Error);
 }
 
 TEST(SuggestFriends, PaperFigure2Scenario) {

@@ -189,14 +189,6 @@ TEST(Table, AlignedOutput) {
   EXPECT_NE(s.find("-----"), std::string::npos);
 }
 
-TEST(Table, CsvQuotesCommas) {
-  TextTable t({"a"});
-  t.new_row().add("x,y");
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_NE(os.str().find("\"x,y\""), std::string::npos);
-}
-
 TEST(Table, TooManyCellsThrows) {
   TextTable t({"only"});
   t.new_row().add("ok");

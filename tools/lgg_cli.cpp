@@ -309,11 +309,9 @@ int cmd_hybrid(std::vector<std::string> args) {
 
 int cmd_resilient(std::vector<std::string> args) {
   resilience::RunnerOptions opts;
-  opts.sancheck = extract_sancheck(args);
   ObsCli ocli(args);
-  opts.obs = ocli.session();
-  opts.prof = ocli.prof();
-  if (ocli.exec) opts.exec = *ocli.exec;
+  ocli.sancheck = extract_sancheck(args);
+  ocli.arm(opts);
 
   resilience::FaultInjector injector(0, resilience::FaultRates{});
   double rate = 0.0;
