@@ -355,6 +355,6 @@ step "deadcode: test-only library symbols all in ci/deadcode_allow.txt"
 # Release build with per-function sections and linker GC (the deadcode
 # preset); a library function that survives only in test binaries must
 # be deleted, called from a tool/bench/example, or allowed with a reason.
-ci/dead_code.sh --allowlist ci/deadcode_allow.txt
+ci/dead_code.sh
 
 step "all checks passed"

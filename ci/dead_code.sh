@@ -6,38 +6,22 @@
 # every `T` symbol of a liblgg_*.a library that survives the linker's
 # section GC in some test binary but in no tool, bench or example binary.
 # Prints the library T-symbol count, the audit count and the demangled
-# list.
+# list, then exits 1 when a listed symbol has no entry in
+# ci/deadcode_allow.txt.  Each entry there is one line: the mangled
+# symbol, then the reason it stays; '#' starts a comment line.  Entries
+# the audit no longer lists are reported as stale (a warning: drop them).
 #
-# With --allowlist FILE, exits 1 when a listed symbol has no entry in
-# FILE.  Each entry is one line: the mangled symbol, then the reason it
-# stays; '#' starts a comment line.  Entries the audit no longer lists
-# are reported as stale (a warning: drop them from FILE).
-#
-# Usage: ci/dead_code.sh [--no-build] [--allowlist FILE]
+# Usage: ci/dead_code.sh
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-BUILD=1
-ALLOW=""
-while [ $# -gt 0 ]; do
-  case "$1" in
-    --no-build) BUILD=0 ;;
-    --allowlist) ALLOW="$2"; shift ;;
-    --allowlist=*) ALLOW="${1#--allowlist=}" ;;
-    *) echo "usage: ci/dead_code.sh [--no-build] [--allowlist FILE]" >&2
-       exit 2 ;;
-  esac
-  shift
-done
-
 DIR=build-deadcode
-if [ "$BUILD" = 1 ]; then
-  cmake --preset deadcode > /dev/null
-  if ! cmake --build --preset deadcode -j "$(nproc 2>/dev/null || echo 4)" \
-        > "$DIR/build.log" 2>&1; then
-    cat "$DIR/build.log" >&2
-    exit 1
-  fi
+ALLOW=ci/deadcode_allow.txt
+cmake --preset deadcode > /dev/null
+if ! cmake --build --preset deadcode -j "$(nproc 2>/dev/null || echo 4)" \
+      > "$DIR/build.log" 2>&1; then
+  cat "$DIR/build.log" >&2
+  exit 1
 fi
 
 defined_t() {
@@ -63,7 +47,6 @@ echo "dead-code audit: $(wc -l < "$TMP/dead") of $(wc -l < "$TMP/lib")" \
      "library T symbols reach only test binaries"
 c++filt < "$TMP/dead" | sed 's/^/  /'
 
-[ -n "$ALLOW" ] || exit 0
 grep -vE '^[[:space:]]*(#|$)' "$ALLOW" | awk '{ print $1 }' | sort -u \
   > "$TMP/allowed"
 comm -23 "$TMP/dead" "$TMP/allowed" > "$TMP/missing"
